@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .dsl import ParseError, SystemDocument, build_restrictions, build_system, parse_system
 from .errors import CapExceededError, HypothesisError, UnsupportedShapeError
@@ -53,18 +53,94 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _jsonable(value: Any) -> Any:
+_quote = json.encoder.encode_basestring_ascii
+# Python 3.10 before 3.10.7 has no cap on int/str conversion, so nothing to lift.
+_set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
+
+
+def _without_digit_cap(convert: Callable[[Any], str], value: Any) -> str:
+    """convert(value) with Python's cap on int/str conversion digits lifted.
+
+    Counts can have many thousands of digits. The cap is lifted only for
+    this conversion, so it still guards parsing.
+    """
+    if _set_int_max_str_digits is None:
+        return convert(value)
+    cap = sys.get_int_max_str_digits()
+    _set_int_max_str_digits(0)
+    try:
+        return convert(value)
+    finally:
+        _set_int_max_str_digits(cap)
+
+
+def _decimal(n: int) -> str:
+    return _without_digit_cap(str, n)
+
+
+def _json_scalar(value: Any) -> str:
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, GFPolynomial):
-        return format_poly(value)
+        return _quote(format_poly(value))
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_json(value: Any, indent: str, out: list[str]) -> None:
+    """Append value to out as json.dumps(value, sort_keys=True, indent=2)
+    writes it at the nesting of indent, with GFPolynomial values as their
+    canonical text. Plain ints, most of a divisor table, are written in
+    place rather than by a recursive call."""
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            item = value[key]
+            if type(item) is int:
+                out.append(sep + _quote(key) + ": " + repr(item))
+            else:
+                out.append(sep + _quote(key) + ": ")
+                _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            if type(item) is int:
+                out.append(sep + repr(item))
+            else:
+                out.append(sep)
+                _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        out.append(_json_scalar(value))
+
+
+def _dumps(payload: dict[str, Any]) -> str:
+    out: list[str] = []
+    _write_json(payload, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _emit(payload: dict[str, Any]) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_without_digit_cap(_dumps, payload))
 
 
 def _load(path: str) -> SystemDocument:
@@ -78,10 +154,10 @@ def _load(path: str) -> SystemDocument:
 def _report_payload(report: CountReport) -> dict[str, Any]:
     return {
         "schema": SCHEMA,
-        "count": str(report.count),
+        "count": _decimal(report.count),
         "solvable": report.solvable,
         "theorem": report.theorem,
-        "details": _jsonable(dict(report.details)),
+        "details": dict(report.details),
     }
 
 
@@ -124,11 +200,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     modulus = _ambient_modulus(doc, system)
     payload: dict[str, Any] = {
         "schema": SCHEMA,
-        "count": str(count),
-        "modulus": format_poly(modulus) if isinstance(modulus, GFPolynomial) else str(modulus),
+        "count": _decimal(count),
+        "modulus": format_poly(modulus) if isinstance(modulus, GFPolynomial) else _decimal(modulus),
     }
     if args.list:
-        payload["solutions"] = None if solutions is None else _jsonable(solutions)
+        payload["solutions"] = solutions
     _emit(payload)
     return 0
 
@@ -142,7 +218,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     try:
         report = _formula_report(doc)
-        methods["formula"] = {"count": str(report.count), "theorem": report.theorem}
+        methods["formula"] = {"count": _decimal(report.count), "theorem": report.theorem}
         counts.append(report.count)
     except (HypothesisError, UnsupportedShapeError) as exc:
         methods["formula"] = {"skipped": str(exc)}
@@ -154,9 +230,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             try:
                 snf_report = butson_stewart_count(system)
                 methods["snf"] = {
-                    "count": str(snf_report.count),
+                    "count": _decimal(snf_report.count),
                     "invariant_factors": [
-                        str(e) for e in snf_report.details["invariant_factors"]
+                        _decimal(e) for e in snf_report.details["invariant_factors"]
                     ],
                 }
                 counts.append(snf_report.count)
@@ -168,7 +244,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             count, _ = enumerate_solutions(system, table, cap=args.cap)
         else:
             count, _ = enumerate_solutions_ff(system, table, cap=args.cap)
-        methods["oracle"] = {"count": str(count)}
+        methods["oracle"] = {"count": _decimal(count)}
         counts.append(count)
     except CapExceededError as exc:
         methods["oracle"] = {"skipped": str(exc)}
@@ -189,9 +265,9 @@ def _cmd_snf(args: argparse.Namespace) -> int:
     _emit(
         {
             "schema": SCHEMA,
-            "modulus": str(modulus),
-            "invariant_factors": [str(e) for e in result.invariant_factors],
-            "count": str(report.count),
+            "modulus": _decimal(modulus),
+            "invariant_factors": [_decimal(e) for e in result.invariant_factors],
+            "count": _decimal(report.count),
             "solvable": report.solvable,
         }
     )
@@ -207,7 +283,7 @@ def _cmd_crt(args: argparse.Namespace) -> int:
             _emit({"schema": SCHEMA, "solvable": False})
             return 0
         b, m = solved
-        _emit({"schema": SCHEMA, "solvable": True, "residue": str(b), "modulus": str(m)})
+        _emit({"schema": SCHEMA, "solvable": True, "residue": _decimal(b), "modulus": _decimal(m)})
         return 0
     b, m = crt_poly(system.rhs, system.moduli)
     _emit(
@@ -222,7 +298,7 @@ def _cmd_crt(args: argparse.Namespace) -> int:
 
 
 def _cmd_ramanujan(args: argparse.Namespace) -> int:
-    _emit({"schema": SCHEMA, "value": str(ramanujan_c(args.m, args.a))})
+    _emit({"schema": SCHEMA, "value": _decimal(ramanujan_c(args.m, args.a))})
     return 0
 
 
@@ -230,7 +306,7 @@ def _cmd_eta(args: argparse.Namespace) -> int:
     field = PrimeField(args.p)
     g = parse_poly(args.g, field)
     h = parse_poly(args.h, field)
-    _emit({"schema": SCHEMA, "value": str(eta(g, h))})
+    _emit({"schema": SCHEMA, "value": _decimal(eta(g, h))})
     return 0
 
 
@@ -239,12 +315,12 @@ def _cmd_phi(args: argparse.Namespace) -> int:
         n = int(args.values[0])
         if n < 1:
             raise _UsageError("phi expects a positive integer")
-        _emit({"schema": SCHEMA, "value": str(euler_phi(n))})
+        _emit({"schema": SCHEMA, "value": _decimal(euler_phi(n))})
         return 0
     if len(args.values) == 2:
         field = PrimeField(int(args.values[0]))
         h = parse_poly(args.values[1], field)
-        _emit({"schema": SCHEMA, "value": str(phi_poly(h))})
+        _emit({"schema": SCHEMA, "value": _decimal(phi_poly(h))})
         return 0
     raise _UsageError("phi expects N or P H")
 
@@ -325,3 +401,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -16,6 +16,7 @@ from .errors import CapExceededError, ExactnessError, HypothesisError
 from .gfpoly import (
     GFPolynomial,
     PrimeField,
+    factorize_poly,
     mobius_poly,
     monic_divisors,
     phi_poly,
@@ -26,7 +27,7 @@ from .gfpoly import (
     residues,
 )
 from .report import CountReport
-from .systems import DEFAULT_ENUMERATION_CAP
+from .systems import DEFAULT_ENUMERATION_CAP, prime_by_prime_divisor_table
 
 _ETA_ORACLE_CAP = 10**5
 
@@ -314,8 +315,12 @@ def restricted_system_count_ff(
         (1/|H|) * prod_j phi(H/T_j)/phi(H/(T_j D_j))
                * sum_{D | H} eta(B, D) prod_l eta(H/D, H/(T_l D_l))
     with T_j the product of column j's restrictions, D_ij = gcd(A_ij, H_i/T_ij)
-    and B the simultaneous residue of the rhs. Total: returns 0 exactly on
-    unsolvable systems.
+    and B the simultaneous residue of the rhs. The divisor sum is built prime
+    by prime: for each P^e exactly dividing H, eta(B, P^f) and
+    eta(P^(e-f), P^mu_l) are evaluated once for f = 0..e (P^mu_l exactly
+    dividing H/(T_l D_l)), and each divisor's row is the product of its
+    irreducibles' values (`prime_by_prime_divisor_table`). Total: returns 0
+    exactly on unsolvable systems.
     """
     _require_pairwise_coprime_poly(system.moduli)
     if not restrictions.entries:
@@ -348,20 +353,20 @@ def restricted_system_count_ff(
             raise ExactnessError("phi ratio must be exact")
         ratio *= num // den
 
-    table = []
-    total = 0
-    for d in monic_divisors(big_h):
-        rhs_value = eta(b, d)
-        quotient = big_h // d
-        variable_values = [
-            eta(quotient, big_h // (t_l * d_l)) for t_l, d_l in zip(t_cols, d_cols)
-        ]
-        prod = rhs_value
-        for v in variable_values:
-            prod *= v
-        table.append({"divisor": d, "rhs_value": rhs_value,
-                      "variable_values": variable_values, "product": prod})
-        total += prod
+    prime_powers = []
+    for poly, exponent in factorize_poly(big_h).factors:
+        powers = [one]
+        for _ in range(exponent):
+            powers.append(powers[-1] * poly)
+        prime_powers.append(powers)
+    table, total = prime_by_prime_divisor_table(
+        prime_powers,
+        b,
+        [big_h // (t_l * d_l) for t_l, d_l in zip(t_cols, d_cols)],
+        lambda q, a: eta(a, q),
+        poly_gcd,
+        GFPolynomial.sort_key,
+    )
     norm = big_h.norm()
     if total % norm:
         raise ExactnessError("divisor sum must be divisible by |H|")

@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 from .errors import CapExceededError, ExactnessError, HypothesisError
-from .intarith import divisors, euler_phi, nary_gcd, nary_lcm
+from .intarith import euler_phi, factorize, nary_gcd, nary_lcm
 from .ramanujan import ramanujan_c
 from .report import CountReport
 
@@ -22,6 +22,9 @@ DEFAULT_ENUMERATION_CAP = 10**8
 # Largest ambient modulus for which the int64 vectorized scan cannot overflow
 # (products stay below 2**63 after per-step reduction).
 _NUMPY_MODULUS_LIMIT = 3 * 10**9
+
+# A ring element: an int, or a GFPolynomial over F_p[t].
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -195,6 +198,62 @@ def single_restricted_count(a: int, b: int, m: int, t: int) -> CountReport:
                        {"coefficient_gcd": d, "modulus": m})
 
 
+def prime_by_prime_divisor_table(
+    prime_powers: Sequence[Sequence[R]],
+    b: R,
+    column_moduli: Sequence[R],
+    ramanujan: Callable[[R, R], int],
+    gcd: Callable[[R, R], R],
+    sort_key: Callable[[R], Any],
+) -> tuple[list[dict[str, Any]], int]:
+    """Rows and sum of  sum_{d | m} C_d(b) prod_l C_{M_l}(m/d), prime by prime.
+
+    Ring-generic (Z or F_p[t]): prime_powers holds, for each prime power p^e
+    exactly dividing m, the list p^0, ..., p^e; each M_l divides m;
+    ramanujan(q, a) is C_q(a) and gcd is the normalised gcd. C_q(a) is
+    multiplicative in q and depends on a only through gcd(a, q), so the row
+    of d = prod_p p^f is the entrywise product of one local row per prime,
+    with values C_{p^f}(b) and C_{gcd(M_l, p^e)}(p^(e-f)). Those e + 1 local
+    rows per prime are evaluated once and multiplied out. The rows come back
+    as divisor-table dicts ordered by sort_key(divisor).
+
+    Raises ExactnessError unless the rows sum to the product over the primes
+    of the local sums.
+    """
+    local_tables = []
+    expected = 1
+    for powers in prime_powers:
+        e = len(powers) - 1
+        q_cols = [gcd(m_l, powers[e]) for m_l in column_moduli]
+        local = []
+        for f, p_f in enumerate(powers):
+            rhs_value = ramanujan(p_f, b)
+            variable_values = [ramanujan(q, powers[e - f]) for q in q_cols]
+            prod = rhs_value
+            for v in variable_values:
+                prod *= v
+            local.append((p_f, rhs_value, variable_values, prod))
+        local_tables.append(local)
+        expected *= sum(row[3] for row in local)
+
+    rows = local_tables[0]
+    for local in local_tables[1:]:
+        rows = [
+            (d * d_p, r * r_p, [v * v_p for v, v_p in zip(vs, vs_p)], prod * prod_p)
+            for d, r, vs, prod in rows
+            for d_p, r_p, vs_p, prod_p in local
+        ]
+    rows.sort(key=lambda row: sort_key(row[0]))
+    total = sum(row[3] for row in rows)
+    if total != expected:
+        raise ExactnessError("divisor sum must equal the product of its per-prime sums")
+    table = [
+        {"divisor": d, "rhs_value": r, "variable_values": vs, "product": prod}
+        for d, r, vs, prod in rows
+    ]
+    return table, total
+
+
 def restricted_system_count(
     system: CongruenceSystem, restrictions: RestrictionTable
 ) -> CountReport:
@@ -206,7 +265,11 @@ def restricted_system_count(
              * sum_{d | m} C_d(b) prod_l C_{m/(t_l d_l)}(m/d)
     with t_j the product of column j's restrictions, d_ij = gcd(a_ij, m_i/t_ij),
     d_j the product of column j's d_ij, and b the simultaneous residue of the
-    rhs. The formula is total: it returns 0 exactly on unsolvable systems.
+    rhs. The divisor sum is built prime by prime: for each p^e exactly
+    dividing m, C_{p^f}(b) and C_{p^mu_l}(p^(e-f)) are evaluated once for
+    f = 0..e (p^mu_l exactly dividing m/(t_l d_l)), and each divisor's row is
+    the product of its primes' values (`prime_by_prime_divisor_table`). The
+    formula is total: it returns 0 exactly on unsolvable systems.
     """
     _require_pairwise_coprime(system.moduli)
     if not restrictions.entries:
@@ -238,25 +301,14 @@ def restricted_system_count(
             raise ExactnessError("phi ratio must be exact")
         ratio *= num // den
 
-    table = []
-    total = 0
-    for d in divisors(m):
-        rhs_value = ramanujan_c(d, b)
-        variable_values = [
-            ramanujan_c(m // (t_l * d_l), m // d) for t_l, d_l in zip(t_cols, d_cols)
-        ]
-        prod = rhs_value
-        for v in variable_values:
-            prod *= v
-        table.append(
-            {
-                "divisor": d,
-                "rhs_value": rhs_value,
-                "variable_values": variable_values,
-                "product": prod,
-            }
-        )
-        total += prod
+    table, total = prime_by_prime_divisor_table(
+        [[p**f for f in range(e + 1)] for p, e in factorize(m).factors],
+        b,
+        [m // (t_l * d_l) for t_l, d_l in zip(t_cols, d_cols)],
+        ramanujan_c,
+        math.gcd,
+        int,
+    )
     if total % m:
         raise ExactnessError("divisor sum must be divisible by the modulus")
     count = ratio * (total // m)

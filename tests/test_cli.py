@@ -1,13 +1,18 @@
 """End-to-end tests for the command line interface: output JSON, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from congruences import CountReport
+import congruences.cli as cli_module
+from congruences import CountReport, GFPolynomial, PrimeField, format_poly
 from congruences.cli import run_cli
 
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 SAMPLES_DIR = Path(__file__).resolve().parent.parent / "samples"
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -271,3 +276,99 @@ def test_every_sample_verifies(capsys):
     for path in sorted(SAMPLES_DIR.glob("*.cong")):
         payload = run_json(capsys, "verify", str(path))
         assert payload["agreement"] is True, path.name
+
+
+def _plain(value):
+    """value with every polynomial replaced by its canonical text."""
+    if isinstance(value, GFPolynomial):
+        return format_poly(value)
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _dumps(payload):
+    return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
+
+
+def test_emit_matches_json_dumps_on_samples(capsys, monkeypatch):
+    payloads = []
+    emit = cli_module._emit
+
+    def recording_emit(payload):
+        payloads.append(payload)
+        emit(payload)
+
+    monkeypatch.setattr(cli_module, "_emit", recording_emit)
+    checked = 0
+    for path in sorted(SAMPLES_DIR.glob("*.cong")):
+        for command in (["count"], ["verify"], ["crt"], ["enumerate", "--list"], ["snf"]):
+            code, out, err = run(capsys, *command, str(path))
+            if code != 0:
+                # snf on a polynomial sample; enumerate past its cap.
+                assert out == "" and ("integer systems only" in err or "exceeds cap" in err)
+                continue
+            assert out == _dumps(payloads[-1]), (command, path.name)
+            checked += 1
+    assert checked == 34
+
+
+def test_emit_matches_json_dumps_on_synthetic_payloads(capsys):
+    field = PrimeField(5)
+    poly = GFPolynomial.from_coeffs(field, (1, 0, 3))
+    payloads = [
+        {},
+        {"empty_list": [], "empty_dict": {}, "nested": [[], [{}], {"a": [[[]]]}]},
+        {"flags": [True, False, None], "true": True, "false": False, "none": None},
+        {"text": 'h\u00e9llo \u2603 \U0001F600 "quoted" \\ \n\t\x00', "\u00fcnicode key": "x"},
+        {"ints": [-1, 0, -(10**30), 10**40], "negative": -7, "zero": 0},
+        {
+            "poly": poly,
+            "polys": [poly, GFPolynomial.zero(field), (poly, -3)],
+            "table": [{"divisor": poly, "product": -4, "variable_values": [-2, 5]}],
+        },
+        {"tuple": (1, (2, 3), ()), "z": 1, "a": 2, "M": 3, "": "empty key"},
+    ]
+    for payload in payloads:
+        cli_module._emit(payload)
+        assert capsys.readouterr().out == _dumps(payload)
+
+
+def test_huge_counts_print_in_full(capsys, tmp_path):
+    path = tmp_path / "huge.cong"
+    terms = " + ".join(f"x{j}" for j in range(1, 202))
+    path.write_text(f"mod {10**50}: {terms} = 1\n")
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    want = "1" + "0" * 10000  # (10^50)^200
+    count = run_json(capsys, "count", str(path))
+    assert count["theorem"] == "lehmer"
+    assert count["count"] == want
+    snf = run_json(capsys, "snf", str(path))
+    assert snf["count"] == want
+    assert snf["modulus"] == "1" + "0" * 50
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit cap"
+)
+def test_digit_cap_still_guards_parsing(capsys, tmp_path):
+    path = tmp_path / "long_literal.cong"
+    path.write_text("mod 1" + "0" * 5000 + ": x1 = 1\n")
+    code, out, err = run(capsys, "count", str(path))
+    assert code == 1
+    assert out == ""
+    assert "Exceeds the limit" in err
+
+
+def test_module_runs_as_script():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "congruences.cli", "count", sample("int_system_12_35.cong")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["count"] == "840"

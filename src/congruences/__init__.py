@@ -33,7 +33,6 @@ from .gfpoly import (
     format_poly,
     mobius_poly,
     monic_divisors,
-    parse_poly,
     phi_poly,
     poly_ext_gcd,
     poly_gcd,
@@ -60,7 +59,6 @@ from .ramanujan import (
     j_function,
     ramanujan_c,
     ramanujan_c_sum,
-    restricted_count_unit_coeffs,
 )
 from .report import CountReport
 from .dsl import (
@@ -70,6 +68,7 @@ from .dsl import (
     build_restrictions,
     build_system,
     format_document,
+    parse_poly,
     parse_system,
 )
 from .snf import SnfResult, butson_stewart_count, lift_to_common_modulus, smith_normal_form
@@ -79,6 +78,7 @@ from .systems import (
     crt_solve,
     enumerate_solutions,
     lehmer_count,
+    restricted_count_unit_coeffs,
     restricted_system_count,
     single_restricted_count,
     system_count,

@@ -14,26 +14,24 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .dsl import ParseError, SystemDocument, build_restrictions, build_system, parse_system
-from .errors import CapExceededError, HypothesisError, UnsupportedShapeError
-from .ffsystems import (
-    PolyCongruenceSystem,
-    crt_poly,
-    enumerate_solutions_ff,
-    eta,
-    restricted_system_count_ff,
-    system_count_ff,
+from .dsl import (
+    ParseError,
+    SystemDocument,
+    build_restrictions,
+    build_system,
+    parse_poly,
+    parse_system,
 )
-from .gfpoly import GFPolynomial, PrimeField, format_poly, parse_poly, phi_poly, poly_lcm_many
-from .intarith import euler_phi, nary_lcm
+from .errors import CapExceededError, HypothesisError, UnsupportedShapeError
+from .ffsystems import eta
+from .gfpoly import GFPolynomial, PrimeField, format_poly, phi_poly
+from .intarith import euler_phi
 from .ramanujan import ramanujan_c
 from .report import CountReport
 from .snf import butson_stewart_count, lift_to_common_modulus, smith_normal_form
 from .systems import (
     CongruenceSystem,
     DEFAULT_ENUMERATION_CAP,
-    crt_solve,
-    enumerate_solutions,
     lehmer_count,
     restricted_system_count,
     system_count,
@@ -161,47 +159,35 @@ def _report_payload(report: CountReport) -> dict[str, Any]:
     }
 
 
-def _formula_report(doc: SystemDocument) -> CountReport:
-    system = build_system(doc)
-    table = build_restrictions(doc)
-    if isinstance(system, CongruenceSystem):
-        if table is None:
-            if system.k == 1:
-                return lehmer_count(system.coefficients[0], system.rhs[0], system.moduli[0])
-            return system_count(system)
+def _is_integer(system) -> bool:
+    """Only Z systems have a one-row Lehmer count and a Smith form."""
+    return isinstance(system, CongruenceSystem)
+
+
+def _formula_report(system, table) -> CountReport:
+    if table is not None:
         return restricted_system_count(system, table)
-    assert isinstance(system, PolyCongruenceSystem)
-    if table is None:
-        return system_count_ff(system)
-    return restricted_system_count_ff(system, table)
+    if system.k == 1 and _is_integer(system):
+        return lehmer_count(system.coefficients[0], system.rhs[0], system.moduli[0])
+    return system_count(system)
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
     doc = _load(args.file)
-    report = _formula_report(doc)
+    report = _formula_report(build_system(doc), build_restrictions(doc))
     _emit(_report_payload(report))
     return 0
-
-
-def _ambient_modulus(doc: SystemDocument, system) -> Any:
-    if isinstance(system, CongruenceSystem):
-        return nary_lcm(system.moduli)
-    return poly_lcm_many(system.moduli)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     system = build_system(doc)
-    table = build_restrictions(doc)
-    if isinstance(system, CongruenceSystem):
-        count, solutions = enumerate_solutions(system, table, cap=args.cap)
-    else:
-        count, solutions = enumerate_solutions_ff(system, table, cap=args.cap)
-    modulus = _ambient_modulus(doc, system)
+    ring = system.ring
+    count, solutions = ring.oracle(system, build_restrictions(doc), args.cap)
     payload: dict[str, Any] = {
         "schema": SCHEMA,
         "count": _decimal(count),
-        "modulus": format_poly(modulus) if isinstance(modulus, GFPolynomial) else _decimal(modulus),
+        "modulus": _without_digit_cap(ring.format, ring.lcm(system.moduli)),
     }
     if args.list:
         payload["solutions"] = solutions
@@ -217,13 +203,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     counts: list[int] = []
 
     try:
-        report = _formula_report(doc)
+        report = _formula_report(system, table)
         methods["formula"] = {"count": _decimal(report.count), "theorem": report.theorem}
         counts.append(report.count)
     except (HypothesisError, UnsupportedShapeError) as exc:
         methods["formula"] = {"skipped": str(exc)}
 
-    if isinstance(system, CongruenceSystem):
+    if _is_integer(system):
         if table is not None:
             methods["snf"] = {"skipped": "restrictions present"}
         else:
@@ -240,10 +226,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 methods["snf"] = {"skipped": str(exc)}
 
     try:
-        if isinstance(system, CongruenceSystem):
-            count, _ = enumerate_solutions(system, table, cap=args.cap)
-        else:
-            count, _ = enumerate_solutions_ff(system, table, cap=args.cap)
+        count, _ = system.ring.oracle(system, table, args.cap)
         methods["oracle"] = {"count": _decimal(count)}
         counts.append(count)
     except CapExceededError as exc:
@@ -257,7 +240,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_snf(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     system = build_system(doc)
-    if not isinstance(system, CongruenceSystem):
+    if not _is_integer(system):
         raise _UsageError("snf applies to integer systems only")
     matrix, _, modulus = lift_to_common_modulus(system)
     result = smith_normal_form(matrix)
@@ -275,23 +258,19 @@ def _cmd_snf(args: argparse.Namespace) -> int:
 
 
 def _cmd_crt(args: argparse.Namespace) -> int:
-    doc = _load(args.file)
-    system = build_system(doc)
-    if isinstance(system, CongruenceSystem):
-        solved = crt_solve(system.rhs, system.moduli)
-        if solved is None:
-            _emit({"schema": SCHEMA, "solvable": False})
-            return 0
-        b, m = solved
-        _emit({"schema": SCHEMA, "solvable": True, "residue": _decimal(b), "modulus": _decimal(m)})
+    system = build_system(_load(args.file))
+    ring = system.ring
+    solved = ring.crt(system.rhs, system.moduli)
+    if solved is None:
+        _emit({"schema": SCHEMA, "solvable": False})
         return 0
-    b, m = crt_poly(system.rhs, system.moduli)
+    b, m = solved
     _emit(
         {
             "schema": SCHEMA,
             "solvable": True,
-            "residue": format_poly(b),
-            "modulus": format_poly(m),
+            "residue": _without_digit_cap(ring.format, b),
+            "modulus": _without_digit_cap(ring.format, m),
         }
     )
     return 0

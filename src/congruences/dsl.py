@@ -25,10 +25,10 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import NoReturn
 
 from .errors import CongruenceError, HypothesisError
-from .ffsystems import PolyCongruenceSystem, PolyRestrictionTable
-from .gfpoly import GFPolynomial, PrimeField, format_poly
+from .ffsystems import PolyCongruenceSystem, PolyRestrictionTable, PolyRing
+from .gfpoly import GFPolynomial, PrimeField
 from .intarith import is_probable_prime
-from .systems import CongruenceSystem, RestrictionTable
+from .systems import INT, CongruenceSystem, IntRing, RestrictionTable
 
 _VARIABLE_RE = re.compile(r"x\d+")
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+|[()+\-*^:,=]")
@@ -102,8 +102,9 @@ class SystemDocument:
         return "integer" if self.field_order is None else "polynomial"
 
     @property
-    def prime_field(self) -> PrimeField | None:
-        return None if self.field_order is None else PrimeField(self.field_order)
+    def ring(self) -> IntRing | PolyRing:
+        """The ring the document's values live in."""
+        return INT if self.field_order is None else PolyRing(PrimeField(self.field_order))
 
 
 def _tokenize(text: str) -> tuple[list[Token], list[str]]:
@@ -264,11 +265,6 @@ class _Parser:
         self._expect_sym(")", "expected ')' after the field order")
         return order
 
-    def _reduce(self, value: object, modulus: object) -> object:
-        if self.field is None:
-            return value % modulus  # type: ignore[operator]
-        return value % modulus  # type: ignore[operator]
-
     def _term(self) -> tuple[object, str]:
         tok = self._tok()
         if tok.kind == "ident" and _VARIABLE_RE.fullmatch(tok.text):
@@ -335,9 +331,9 @@ class _Parser:
                 break
             self._advance()
         self._expect_sym("=", "expected '=' after the linear combination")
-        rhs = self._reduce(self._expr(signed=True, what="an integer"), modulus)
+        rhs = self._expr(signed=True, what="an integer") % modulus  # type: ignore[operator]
         terms = tuple(
-            (self._reduce(combined[name], modulus), name)
+            (combined[name] % modulus, name)  # type: ignore[operator]
             for name in sorted(combined, key=lambda v: int(v[1:]))
         )
         return CongruenceLine(
@@ -392,7 +388,15 @@ class _Parser:
             {name for line in congruences for _, name in line.terms},
             key=lambda v: int(v[1:]),
         )
-        moduli_keys = [self._modulus_key(line.modulus) for line in congruences]
+        doc = SystemDocument(
+            field_order=field_order,
+            congruences=tuple(congruences),
+            restrictions=tuple(restrictions),
+            variables=tuple(variables),
+            tokens=tuple(self.tokens),
+        )
+        ring = doc.ring
+        moduli_keys = [ring.normalise(line.modulus) for line in congruences]
         seen: set[tuple[str, object]] = set()
         for r in restrictions:
             if r.variable not in variables:
@@ -400,39 +404,20 @@ class _Parser:
                     f"restriction references undeclared variable {r.variable}",
                     r.variable_span,
                 )
-            key = self._modulus_key(r.modulus)
+            key = ring.normalise(r.modulus)
             if key not in moduli_keys:
                 self._fail_at(
-                    f"restriction modulus {self._format_value(r.modulus)} does not"
+                    f"restriction modulus {ring.format(r.modulus)} does not"
                     " match any congruence modulus",
                     r.modulus_span,
                 )
             if (r.variable, key) in seen:
                 self._fail_at(
-                    f"duplicate restriction for gcd({r.variable},"
-                    f" {self._format_value(r.modulus)})",
+                    f"duplicate restriction for gcd({r.variable}, {ring.format(r.modulus)})",
                     r.span,
                 )
             seen.add((r.variable, key))
-
-        return SystemDocument(
-            field_order=field_order,
-            congruences=tuple(congruences),
-            restrictions=tuple(restrictions),
-            variables=tuple(variables),
-            tokens=tuple(self.tokens),
-        )
-
-    def _modulus_key(self, modulus: object) -> object:
-        if self.field is None:
-            return modulus
-        return modulus.monic()  # type: ignore[union-attr]
-
-    @staticmethod
-    def _format_value(value: object) -> str:
-        if isinstance(value, GFPolynomial):
-            return format_poly(value)
-        return str(value)
+        return doc
 
 
 def parse_system(text: str) -> SystemDocument:
@@ -443,33 +428,18 @@ def parse_system(text: str) -> SystemDocument:
 def build_system(doc: SystemDocument) -> CongruenceSystem | PolyCongruenceSystem:
     """Materialize the coefficient matrix (zero columns for unmentioned
     variables) as a library system object."""
+    ring = doc.ring
     index = {name: j for j, name in enumerate(doc.variables)}
-    if doc.field_order is None:
-        rows = []
-        for line in doc.congruences:
-            row = [0] * len(doc.variables)
-            for coeff, name in line.terms:
-                row[index[name]] = coeff
-            rows.append(tuple(row))
-        return CongruenceSystem(
-            coefficients=tuple(rows),
-            moduli=tuple(line.modulus for line in doc.congruences),
-            rhs=tuple(line.rhs for line in doc.congruences),
-        )
-    field = doc.prime_field
-    assert field is not None
-    zero = GFPolynomial.zero(field)
     rows = []
     for line in doc.congruences:
-        row = [zero] * len(doc.variables)
+        row = [ring.zero] * len(doc.variables)
         for coeff, name in line.terms:
             row[index[name]] = coeff
         rows.append(tuple(row))
-    return PolyCongruenceSystem(
-        field=field,
-        coefficients=tuple(rows),
-        moduli=tuple(line.modulus for line in doc.congruences),
-        rhs=tuple(line.rhs for line in doc.congruences),
+    return ring.system(
+        tuple(rows),
+        tuple(line.modulus for line in doc.congruences),
+        tuple(line.rhs for line in doc.congruences),
     )
 
 
@@ -481,62 +451,56 @@ def build_restrictions(
     restricted counting theorem needs every (row, variable) entry."""
     if not doc.restrictions:
         return None
-    poly_mode = doc.field_order is not None
-
-    def key(modulus: object) -> object:
-        return modulus.monic() if poly_mode else modulus  # type: ignore[union-attr]
-
+    ring = doc.ring
     lookup: dict[tuple[str, object], object] = {}
     for r in doc.restrictions:
-        lookup[(r.variable, key(r.modulus))] = r.value
+        lookup[(r.variable, ring.normalise(r.modulus))] = r.value
     entries = []
     for line in doc.congruences:
         row = []
         for name in doc.variables:
-            value = lookup.get((name, key(line.modulus)))
+            value = lookup.get((name, ring.normalise(line.modulus)))
             if value is None:
-                shown = (
-                    format_poly(line.modulus)  # type: ignore[arg-type]
-                    if poly_mode
-                    else line.modulus
-                )
                 raise HypothesisError(
-                    f"incomplete restriction table: missing gcd({name}, {shown})"
+                    f"incomplete restriction table: missing gcd({name},"
+                    f" {ring.format(line.modulus)})"
                 )
             row.append(value)
         entries.append(tuple(row))
-    if poly_mode:
-        return PolyRestrictionTable(entries=tuple(entries))
-    return RestrictionTable(entries=tuple(entries))
+    return ring.restriction_table(tuple(entries))
 
 
-def _format_coefficient(coeff: object, name: str) -> str:
-    if isinstance(coeff, GFPolynomial):
-        if coeff == GFPolynomial.one(coeff.field):
-            return name
-        text = format_poly(coeff)
-        nonzero = sum(1 for c in coeff.coefficients if c)
-        if nonzero > 1:
-            return f"({text})*{name}"
-        return f"{text}*{name}"
-    if coeff == 1:
+def parse_poly(text: str, field: PrimeField) -> GFPolynomial:
+    """Parse one polynomial in t over field, in the document syntax: terms
+    c, t, c*t^k, t^k joined by + and -, optional leading -. Raises
+    ValueError on anything else."""
+    try:
+        parser = _Parser(text)
+        parser.field = field
+        poly = parser._poly_sum()
+        if parser._tok().kind != "eof":
+            parser._fail("unexpected trailing input")
+    except ParseError as exc:
+        raise ValueError(f"bad polynomial {text!r}: {exc.diagnostic.message}") from None
+    return poly
+
+
+def _format_coefficient(ring, coeff: object, name: str) -> str:
+    if coeff == ring.one:
         return name
-    return f"{coeff}*{name}"
+    text = ring.format(coeff)
+    return f"({text})*{name}" if " + " in text else f"{text}*{name}"
 
 
 def format_document(doc: SystemDocument) -> str:
     """Canonical text for a document; reparsing it yields an equal document."""
-
-    def fmt(value: object) -> str:
-        if isinstance(value, GFPolynomial):
-            return format_poly(value)
-        return str(value)
-
+    ring = doc.ring
+    fmt = ring.format
     lines = []
     if doc.field_order is not None:
         lines.append(f"field GF({doc.field_order})")
     for line in doc.congruences:
-        terms = " + ".join(_format_coefficient(c, name) for c, name in line.terms)
+        terms = " + ".join(_format_coefficient(ring, c, name) for c, name in line.terms)
         lines.append(f"mod {fmt(line.modulus)}: {terms} = {fmt(line.rhs)}")
     for r in doc.restrictions:
         lines.append(f"gcd({r.variable}, {fmt(r.modulus)}) = {fmt(r.value)}")

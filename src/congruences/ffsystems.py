@@ -1,9 +1,11 @@
-"""Linear congruence systems over F_p[t]: eta sums, counts, enumeration.
+"""F_p[t] behind the ring interface of the systems module: eta sums, the
+ring itself, and the exhaustive enumeration oracle.
 
-Mirrors the integer module with the polynomial analogues: |H| = p^deg(H)
-replaces the modulus, eta(G, H) replaces the Ramanujan sum, and additive
-characters are handled through their exponents (integers in [0, p)), never
-through complex numbers.
+The counting theorems live once in `systems`; `PolyRing` supplies their
+polynomial analogues: |H| = p^deg(H) replaces the modulus and eta(G, H)
+replaces the Ramanujan sum. Additive characters are handled through their
+exponents (integers in [0, p)), never through complex numbers. The `_ff`
+functions and `crt_poly` are entry points over the shared theorems.
 """
 
 from __future__ import annotations
@@ -12,22 +14,33 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .errors import CapExceededError, ExactnessError, HypothesisError
+from .errors import CapExceededError, ExactnessError
 from .gfpoly import (
     GFPolynomial,
     PrimeField,
     factorize_poly,
+    format_poly,
     mobius_poly,
     monic_divisors,
     phi_poly,
-    poly_gcd,
-    poly_gcd_many,
     poly_ext_gcd,
+    poly_gcd,
     poly_lcm_many,
     residues,
 )
 from .report import CountReport
-from .systems import DEFAULT_ENUMERATION_CAP, prime_by_prime_divisor_table
+from .systems import (
+    DEFAULT_ENUMERATION_CAP,
+    RestrictionTable,
+    _crt,
+    _restriction_triples,
+    _scan_modulus,
+    _single_restricted,
+    _SystemRows,
+    _unit_coefficient_sum,
+    restricted_system_count,
+    system_count,
+)
 
 _ETA_ORACLE_CAP = 10**5
 
@@ -119,28 +132,78 @@ def eta_direct_oracle(g: GFPolynomial, h: GFPolynomial) -> int:
     return counts[0] - counts[1]
 
 
-def crt_poly(
-    rhs: Sequence[GFPolynomial], moduli: Sequence[GFPolynomial]
-) -> tuple[GFPolynomial, GFPolynomial]:
-    """Simultaneous residue modulo the product of pairwise coprime moduli."""
-    if not rhs or len(rhs) != len(moduli):
-        raise ValueError("rhs and moduli must be equal-length and nonempty")
-    if any(h.degree < 1 for h in moduli):
-        raise ValueError("moduli must be non-constant")
-    b = rhs[0] % moduli[0]
-    m = moduli[0].monic()
-    for r_i, h_i in zip(rhs[1:], moduli[1:]):
-        g, s, _ = poly_ext_gcd(m, h_i)
-        if g.degree != 0:
-            raise HypothesisError("moduli must be pairwise coprime")
-        merged = (m * h_i).monic()
-        b = (b + m * s * (r_i - b)) % merged
-        m = merged
-    return b, m
+class PolyRing:
+    """F_p[t] behind the ring interface of `systems.IntRing`.
+
+    Normal forms are monic, the norm of H is |H| = p^deg(H) (0 for the zero
+    polynomial), and eta(B, H) stands in for the Ramanujan sum C_H(B). The
+    methods look their helpers up at call time, so they follow whatever the
+    module namespace holds.
+    """
+
+    suffix = "_poly"  # appended to theorem names
+    norm_key = "modulus_norm"  # details key of the norm |H|
+    modulus_rule = "non-constant"
+    normal_word = "monic"
+
+    def __init__(self, field: PrimeField):
+        self.field = field
+        self.zero = GFPolynomial.zero(field)
+        self.one = GFPolynomial.one(field)
+
+    @staticmethod
+    def is_normal(t: GFPolynomial) -> bool:
+        return not t.is_zero and t.lc == 1
+
+    def normalise(self, h: GFPolynomial) -> GFPolynomial:
+        return h.monic()
+
+    def norm(self, h: GFPolynomial) -> int:
+        return h.norm() if h.coefficients else 0
+
+    def gcd(self, a: GFPolynomial, b: GFPolynomial) -> GFPolynomial:
+        return poly_gcd(a, b)
+
+    def divides(self, d: GFPolynomial, a: GFPolynomial) -> bool:
+        return d.divides(a)
+
+    def inverse(self, a: GFPolynomial, h: GFPolynomial) -> GFPolynomial:
+        return poly_ext_gcd(a, h)[1] % h
+
+    def lcm(self, values: Sequence[GFPolynomial]) -> GFPolynomial:
+        return poly_lcm_many(values)
+
+    def factor(self, h: GFPolynomial) -> tuple[tuple[GFPolynomial, int], ...]:
+        return factorize_poly(h).factors
+
+    def phi(self, h: GFPolynomial) -> int:
+        return phi_poly(h)
+
+    def ramanujan(self, q: GFPolynomial, a: GFPolynomial) -> int:
+        """eta(A, Q), the analogue of the Ramanujan sum C_q(a)."""
+        return eta(a, q)
+
+    def sort_key(self, d: GFPolynomial) -> tuple[int, tuple[int, ...]]:
+        return d.sort_key()
+
+    def format(self, value: GFPolynomial) -> str:
+        return format_poly(value)
+
+    def system(self, coefficients, moduli, rhs) -> PolyCongruenceSystem:
+        return PolyCongruenceSystem(self.field, coefficients, moduli, rhs)
+
+    def restriction_table(self, entries) -> PolyRestrictionTable:
+        return PolyRestrictionTable(entries)
+
+    def crt(self, rhs, moduli) -> tuple[GFPolynomial, GFPolynomial]:
+        return _crt(self, rhs, moduli, coprime=True)
+
+    def oracle(self, system, restrictions, cap: int):
+        return enumerate_solutions_ff(system, restrictions, cap=cap)
 
 
 @dataclass(frozen=True)
-class PolyCongruenceSystem:
+class PolyCongruenceSystem(_SystemRows):
     """k linear congruences over F_p[t] in n variables."""
 
     field: PrimeField
@@ -149,119 +212,45 @@ class PolyCongruenceSystem:
     rhs: tuple[GFPolynomial, ...]
 
     def __post_init__(self) -> None:
-        k = len(self.coefficients)
-        if k == 0:
-            raise ValueError("at least one congruence required")
-        if len(self.moduli) != k or len(self.rhs) != k:
-            raise ValueError("coefficients, moduli and rhs must have equal length")
-        n = len(self.coefficients[0])
-        if n == 0:
-            raise ValueError("at least one variable required")
-        if any(len(row) != n for row in self.coefficients):
-            raise ValueError("all rows must have the same number of coefficients")
-        if any(h.degree < 1 for h in self.moduli):
-            raise ValueError("every modulus must be non-constant")
+        super().__post_init__()
         for poly in (*self.moduli, *self.rhs, *(c for row in self.coefficients for c in row)):
             if poly.field != self.field:
                 raise ValueError("all polynomials must live over the system's field")
 
     @property
-    def k(self) -> int:
-        return len(self.moduli)
-
-    @property
-    def n(self) -> int:
-        return len(self.coefficients[0])
+    def ring(self) -> PolyRing:
+        return PolyRing(self.field)
 
 
 @dataclass(frozen=True)
-class PolyRestrictionTable:
+class PolyRestrictionTable(RestrictionTable):
     """Required monic gcd values T_ij = gcd(X_j, H_i)."""
 
     entries: tuple[tuple[GFPolynomial, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.entries:
-            n = len(self.entries[0])
-            if any(len(row) != n for row in self.entries):
-                raise ValueError("restriction rows must have equal length")
-            for row in self.entries:
-                for t in row:
-                    if t.is_zero or t.lc != 1:
-                        raise ValueError("restriction values must be monic")
-
-    def validate_for(self, system: PolyCongruenceSystem) -> None:
-        if not self.entries:
-            return
-        if len(self.entries) != system.k or len(self.entries[0]) != system.n:
-            raise ValueError("restriction table shape must match the system")
-        for row, h_i in zip(self.entries, system.moduli):
-            for t in row:
-                if not t.divides(h_i):
-                    raise HypothesisError("restriction value must divide its modulus")
+    _kind = PolyRing
 
 
-def _require_pairwise_coprime_poly(moduli: Sequence[GFPolynomial]) -> None:
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            if poly_gcd(moduli[i], moduli[j]).degree != 0:
-                raise HypothesisError("moduli must be pairwise coprime")
+def crt_poly(
+    rhs: Sequence[GFPolynomial], moduli: Sequence[GFPolynomial]
+) -> tuple[GFPolynomial, GFPolynomial]:
+    """Simultaneous residue modulo the product of pairwise coprime moduli."""
+    if not moduli:
+        raise ValueError("residues and moduli must be equal-length and nonempty")
+    return PolyRing(moduli[0].field).crt(rhs, moduli)
 
 
 def system_count_ff(system: PolyCongruenceSystem) -> CountReport:
     """Count solutions of a pairwise-coprime system in (F_p[t]/H)^n with H the
     product of the moduli: |H|^(n-1) times the product of the row gcd norms."""
-    _require_pairwise_coprime_poly(system.moduli)
-    norm = 1
-    for h_i in system.moduli:
-        norm *= h_i.norm()
-    row_gcds = []
-    solvable = True
-    for row, b_i, h_i in zip(system.coefficients, system.rhs, system.moduli):
-        ell = poly_gcd_many([*row, h_i])
-        row_gcds.append(ell)
-        if not ell.divides(b_i):
-            solvable = False
-    count = 0
-    if solvable:
-        count = norm ** (system.n - 1)
-        for ell in row_gcds:
-            count *= ell.norm()
-    return CountReport(
-        count=count,
-        solvable=solvable,
-        theorem="coprime_system_poly",
-        details={"modulus_norm": norm, "row_gcds": row_gcds},
-    )
+    return system_count(system)
 
 
 def single_restricted_count_ff(
     a: GFPolynomial, b: GFPolynomial, h: GFPolynomial, t: GFPolynomial
 ) -> CountReport:
     """Count X mod H with A*X = B mod H and gcd(X, H) = T (monic T)."""
-    if h.degree < 1:
-        raise ValueError("modulus must be non-constant")
-    if t.is_zero or t.lc != 1:
-        raise ValueError("restriction value must be monic")
-    big_h = h.monic()
-    b_red = b % big_h
-    g = poly_gcd(b_red, big_h)
-    if not t.divides(g):
-        return CountReport(0, False, "restricted_single_poly",
-                           {"reason": "T does not divide gcd(B, H)"})
-    ht = big_h // t
-    d = poly_gcd(a, ht)
-    if d != poly_gcd(b_red // t, ht):
-        return CountReport(0, False, "restricted_single_poly",
-                           {"reason": "gcd(A, H/T) differs from gcd(B/T, H/T)",
-                            "coefficient_gcd": d})
-    num = phi_poly(ht)
-    den = phi_poly(ht // d)
-    if num % den:
-        raise ExactnessError("phi ratio must be exact")
-    count = num // den
-    return CountReport(count, count > 0, "restricted_single_poly",
-                       {"coefficient_gcd": d})
+    return _single_restricted(PolyRing(h.field), a, b, h, t)
 
 
 def restricted_count_unit_coeffs_ff(
@@ -273,121 +262,16 @@ def restricted_count_unit_coeffs_ff(
     """
     if h.degree < 1:
         raise ValueError("modulus must be non-constant")
-    if not t:
-        raise ValueError("at least one restriction required")
-    big_h = h.monic()
-    for h_i in t:
-        if h_i.is_zero or h_i.lc != 1 or not h_i.divides(big_h):
-            raise ValueError("each H_i must be a monic divisor of H")
-    table = []
-    total = 0
-    for d in monic_divisors(big_h):
-        rhs_value = eta(b, d)
-        quotient = big_h // d
-        variable_values = [eta(quotient, big_h // h_i) for h_i in t]
-        prod = rhs_value
-        for v in variable_values:
-            prod *= v
-        table.append({"divisor": d, "rhs_value": rhs_value,
-                      "variable_values": variable_values, "product": prod})
-        total += prod
-    norm = big_h.norm()
-    if total % norm:
-        raise ExactnessError("divisor sum must be divisible by |H|")
-    count = total // norm
-    if count < 0:
-        raise ExactnessError("restricted count must be nonnegative")
-    return CountReport(
-        count=count,
-        solvable=count > 0,
-        theorem="restricted_sum_poly",
-        details={"modulus_norm": norm, "divisor_table": table, "divisor_sum": total},
-    )
+    return _unit_coefficient_sum(PolyRing(h.field), h, b, t)
 
 
 def restricted_system_count_ff(
     system: PolyCongruenceSystem, restrictions: PolyRestrictionTable
 ) -> CountReport:
     """Count solutions in (F_p[t]/H)^n (H the product of the pairwise coprime
-    moduli) under the full gcd restriction table.
-
-    Polynomial analogue of the restricted-system formula:
-        (1/|H|) * prod_j phi(H/T_j)/phi(H/(T_j D_j))
-               * sum_{D | H} eta(B, D) prod_l eta(H/D, H/(T_l D_l))
-    with T_j the product of column j's restrictions, D_ij = gcd(A_ij, H_i/T_ij)
-    and B the simultaneous residue of the rhs. The divisor sum is built prime
-    by prime: for each P^e exactly dividing H, eta(B, P^f) and
-    eta(P^(e-f), P^mu_l) are evaluated once for f = 0..e (P^mu_l exactly
-    dividing H/(T_l D_l)), and each divisor's row is the product of its
-    irreducibles' values (`prime_by_prime_divisor_table`). Total: returns 0
-    exactly on unsolvable systems.
-    """
-    _require_pairwise_coprime_poly(system.moduli)
-    if not restrictions.entries:
-        raise ValueError("restricted_system_count_ff needs a nonempty restriction table")
-    restrictions.validate_for(system)
-
-    k, n = system.k, system.n
-    b, big_h = crt_poly(system.rhs, system.moduli)
-    big_h = big_h.monic()
-
-    t_cols = []
-    d_cols = []
-    one = GFPolynomial.one(system.field)
-    for j in range(n):
-        t_j = one
-        d_j = one
-        for i in range(k):
-            t_ij = restrictions.entries[i][j]
-            t_j = t_j * t_ij
-            h_over = system.moduli[i].monic() // t_ij
-            d_j = d_j * poly_gcd(system.coefficients[i][j], h_over)
-        t_cols.append(t_j)
-        d_cols.append(d_j)
-
-    ratio = 1
-    for t_j, d_j in zip(t_cols, d_cols):
-        num = phi_poly(big_h // t_j)
-        den = phi_poly(big_h // (t_j * d_j))
-        if num % den:
-            raise ExactnessError("phi ratio must be exact")
-        ratio *= num // den
-
-    prime_powers = []
-    for poly, exponent in factorize_poly(big_h).factors:
-        powers = [one]
-        for _ in range(exponent):
-            powers.append(powers[-1] * poly)
-        prime_powers.append(powers)
-    table, total = prime_by_prime_divisor_table(
-        prime_powers,
-        b,
-        [big_h // (t_l * d_l) for t_l, d_l in zip(t_cols, d_cols)],
-        lambda q, a: eta(a, q),
-        poly_gcd,
-        GFPolynomial.sort_key,
-    )
-    norm = big_h.norm()
-    if total % norm:
-        raise ExactnessError("divisor sum must be divisible by |H|")
-    count = ratio * (total // norm)
-    if count < 0:
-        raise ExactnessError("restricted count must be nonnegative")
-    return CountReport(
-        count=count,
-        solvable=count > 0,
-        theorem="restricted_system_poly",
-        details={
-            "crt_residue": b,
-            "modulus": big_h,
-            "modulus_norm": norm,
-            "restriction_products": t_cols,
-            "coefficient_gcds": d_cols,
-            "phi_ratio": ratio,
-            "divisor_table": table,
-            "divisor_sum": total,
-        },
-    )
+    moduli) under the full gcd restriction table: the polynomial case of
+    `systems.restricted_system_count`, with eta sums for Ramanujan sums."""
+    return restricted_system_count(system, restrictions)
 
 
 def i_and_j_functions_ff(
@@ -440,12 +324,8 @@ def enumerate_solutions_ff(
     variable when there are at most 1000, else None.
     """
     field = system.field
-    big_h = poly_lcm_many(system.moduli)
+    big_h, size = _scan_modulus(system, cap)
     n = system.n
-    size = big_h.norm()
-    total = size**n
-    if total > cap:
-        raise CapExceededError(f"scan of {total} tuples exceeds cap {cap}")
     pool = residues(field, big_h.degree)
     p = field.p
 
@@ -461,15 +341,10 @@ def enumerate_solutions_ff(
         ]
         rows.append((contribs, pad(b_i % h_i)))
 
-    checks: list[tuple[int, list[bool]]] = []
-    if restrictions is not None and restrictions.entries:
-        restrictions.validate_for(system)
-        for i in range(system.k):
-            h_i = system.moduli[i]
-            for j in range(n):
-                t_ij = restrictions.entries[i][j]
-                allowed = [poly_gcd(x, h_i) == t_ij for x in pool]
-                checks.append((j, allowed))
+    checks = [
+        (j, [poly_gcd(x, h_i) == t_ij for x in pool])
+        for j, h_i, t_ij in _restriction_triples(system, restrictions)
+    ]
 
     count = 0
     hits: list[tuple[int, ...]] | None = []

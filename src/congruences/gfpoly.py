@@ -268,15 +268,6 @@ def poly_gcd(a: GFPolynomial, b: GFPolynomial) -> GFPolynomial:
     return _trusted(field, _gcd(a.coefficients, b.coefficients, field.p))
 
 
-def poly_gcd_many(values: Sequence[GFPolynomial]) -> GFPolynomial:
-    if not values:
-        raise ValueError("poly_gcd_many needs at least one value")
-    out = values[0]
-    for v in values[1:]:
-        out = poly_gcd(out, v)
-    return out.monic()
-
-
 def poly_ext_gcd(
     a: GFPolynomial, b: GFPolynomial
 ) -> tuple[GFPolynomial, GFPolynomial, GFPolynomial]:
@@ -511,78 +502,6 @@ def residues(field: PrimeField, degree_bound: int) -> list[GFPolynomial]:
         _trusted(field, _trim(list(reversed(combo))))
         for combo in product(range(field.p), repeat=degree_bound)
     ]
-
-
-def parse_poly(text: str, field: PrimeField) -> GFPolynomial:
-    """Parse the textual polynomial syntax: terms c, t, c*t^k, t^k joined by
-    + and -, optional leading -."""
-    import re
-
-    tokens = re.findall(r"\d+|[t^*+\-]|\S", text)
-    pos = 0
-
-    def fail(msg: str) -> None:
-        raise ValueError(f"bad polynomial {text!r}: {msg}")
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            fail("unexpected end")
-        pos += 1
-        return tokens[pos - 1]
-
-    def monomial() -> tuple[int, int]:
-        coeff = 1
-        power = 0
-        tok = take()
-        if tok.isdigit():
-            coeff = int(tok)
-            if peek() == "*":
-                take()
-                tok = take()
-                if tok != "t":
-                    fail("expected t after '*'")
-                power = 1
-        elif tok == "t":
-            power = 1
-        else:
-            fail(f"unexpected {tok!r}")
-        if power == 1 and peek() == "^":
-            take()
-            tok = take()
-            if not tok.isdigit():
-                fail("expected integer exponent")
-            power = int(tok)
-        return coeff, power
-
-    if not tokens:
-        fail("empty input")
-    coeffs: dict[int, int] = {}
-    sign = 1
-    if peek() == "-":
-        take()
-        sign = -1
-    while True:
-        c, k = monomial()
-        coeffs[k] = coeffs.get(k, 0) + sign * c
-        nxt = peek()
-        if nxt is None:
-            break
-        if nxt == "+":
-            sign = 1
-        elif nxt == "-":
-            sign = -1
-        else:
-            fail(f"unexpected {nxt!r}")
-        take()
-    size = max(coeffs) + 1 if coeffs else 0
-    out = [0] * size
-    for k, c in coeffs.items():
-        out[k] = c
-    return GFPolynomial.from_coeffs(field, out)
 
 
 def format_poly(poly: GFPolynomial) -> str:

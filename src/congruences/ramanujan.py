@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import ExactnessError
 from .intarith import divisors, euler_phi, mobius, nary_lcm
@@ -121,32 +121,3 @@ def e_function(b: int, idx: MultiIndex) -> int:
             continue
         total += sign * j_function(b, MultiIndex(combo, idx.ambient))
     return total
-
-
-def restricted_count_unit_coeffs(m: int, b: int, t: Sequence[int]) -> int:
-    """Solutions of x_1 + ... + x_n = b mod m with gcd(x_i, m) = t_i.
-
-    Evaluated as (1/m) * sum over d | m of C_d(b) * prod_i C_{m/t_i}(m/d); the
-    divisor sum is asserted divisible by m and the result nonnegative.
-    """
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    if not t:
-        raise ValueError("at least one restriction required")
-    for t_i in t:
-        if t_i < 1 or m % t_i:
-            raise ValueError("each t_i must be a positive divisor of m")
-    total = 0
-    for d in divisors(m):
-        term = ramanujan_c(d, b)
-        for t_i in t:
-            if term == 0:
-                break
-            term *= ramanujan_c(m // t_i, m // d)
-        total += term
-    if total % m:
-        raise ExactnessError("divisor sum must be divisible by the modulus")
-    count = total // m
-    if count < 0:
-        raise ExactnessError("restricted count must be nonnegative")
-    return count

@@ -1,21 +1,26 @@
-"""Linear congruence systems over Z: solvability, exact counts, enumeration.
+"""Linear congruence systems: solvability, exact counts, enumeration.
 
-Counting follows the classical formulas (single congruence gcd test, coprime
-systems, gcd-restricted systems via Ramanujan sums); enumeration is an
-independent exhaustive oracle over residue tuples.
+The counting theorems are written once, against a small ring interface:
+`IntRing` below for Z, and `ffsystems.PolyRing` for F_p[t], where |H| =
+p^deg(H) is the norm and eta sums stand in for Ramanujan sums. A system
+carries its ring, so every formula here serves both (single congruence gcd
+test, coprime systems, gcd-restricted systems via Ramanujan sums).
+Enumeration over Z is an independent exhaustive oracle over residue tuples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Any, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import CapExceededError, ExactnessError, HypothesisError
 from .intarith import euler_phi, factorize, nary_gcd, nary_lcm
 from .ramanujan import ramanujan_c
 from .report import CountReport
+
+if TYPE_CHECKING:
+    from .ffsystems import PolyCongruenceSystem, PolyRing
 
 DEFAULT_ENUMERATION_CAP = 10**8
 
@@ -23,18 +28,80 @@ DEFAULT_ENUMERATION_CAP = 10**8
 # (products stay below 2**63 after per-step reduction).
 _NUMPY_MODULUS_LIMIT = 3 * 10**9
 
-# A ring element: an int, or a GFPolynomial over F_p[t].
-R = TypeVar("R")
+
+class IntRing:
+    """Z as the counting formulas see it.
+
+    Moduli and restriction values are positive, so every one is its own
+    normal form and its norm |m| (the number of residues) is m itself. The
+    methods look their helpers up at call time, so they follow whatever the
+    module namespace holds.
+    """
+
+    suffix = ""  # appended to theorem names
+    norm_key = "modulus"  # details key of the norm |m|
+    modulus_rule = "at least 2"
+    normal_word = "positive"
+    zero = 0
+    one = 1
+
+    @staticmethod
+    def is_normal(t: int) -> bool:
+        return t >= 1
+
+    def normalise(self, m: int) -> int:
+        return m
+
+    def norm(self, m: int) -> int:
+        return m
+
+    def gcd(self, a: int, b: int) -> int:
+        return math.gcd(a, b)
+
+    def divides(self, d: int, a: int) -> bool:
+        return a % d == 0
+
+    def inverse(self, a: int, m: int) -> int:
+        return pow(a, -1, m)
+
+    def lcm(self, values: Sequence[int]) -> int:
+        return nary_lcm(values)
+
+    def factor(self, m: int) -> tuple[tuple[int, int], ...]:
+        return factorize(m).factors
+
+    def phi(self, m: int) -> int:
+        return euler_phi(m)
+
+    def ramanujan(self, q: int, a: int) -> int:
+        """The Ramanujan sum C_q(a)."""
+        return ramanujan_c(q, a)
+
+    def sort_key(self, d: int) -> int:
+        return d
+
+    format = str
+
+    def system(self, coefficients, moduli, rhs) -> CongruenceSystem:
+        return CongruenceSystem(coefficients, moduli, rhs)
+
+    def restriction_table(self, entries) -> RestrictionTable:
+        return RestrictionTable(entries)
+
+    def crt(self, residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int] | None:
+        return _crt(self, residues, moduli)
+
+    def oracle(self, system, restrictions, cap: int):
+        return enumerate_solutions(system, restrictions, cap=cap)
 
 
-@dataclass(frozen=True)
-class CongruenceSystem:
-    """k linear congruences in n variables: row i reads
+INT = IntRing()
+
+
+class _SystemRows:
+    """Checks and shape shared by the system types: k linear congruences in
+    n variables over self.ring, row i reading
     sum_j coefficients[i][j] * x_j = rhs[i] mod moduli[i]."""
-
-    coefficients: tuple[tuple[int, ...], ...]
-    moduli: tuple[int, ...]
-    rhs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         k = len(self.coefficients)
@@ -47,8 +114,9 @@ class CongruenceSystem:
             raise ValueError("at least one variable required")
         if any(len(row) != n for row in self.coefficients):
             raise ValueError("all rows must have the same number of coefficients")
-        if any(m < 2 for m in self.moduli):
-            raise ValueError("every modulus must be at least 2")
+        ring = self.ring
+        if any(ring.norm(m) < 2 for m in self.moduli):
+            raise ValueError(f"every modulus must be {ring.modulus_rule}")
 
     @property
     def k(self) -> int:
@@ -60,6 +128,17 @@ class CongruenceSystem:
 
 
 @dataclass(frozen=True)
+class CongruenceSystem(_SystemRows):
+    """k linear congruences over Z in n variables."""
+
+    coefficients: tuple[tuple[int, ...], ...]
+    moduli: tuple[int, ...]
+    rhs: tuple[int, ...]
+
+    ring = INT
+
+
+@dataclass(frozen=True)
 class RestrictionTable:
     """Required gcd values t_ij = gcd(x_j, m_i), one entry per row and variable.
 
@@ -68,26 +147,65 @@ class RestrictionTable:
 
     entries: tuple[tuple[int, ...], ...]
 
+    _kind = IntRing  # what a restriction value must be: is_normal, normal_word
+
     def __post_init__(self) -> None:
         if self.entries:
             n = len(self.entries[0])
             if any(len(row) != n for row in self.entries):
                 raise ValueError("restriction rows must have equal length")
-            for row in self.entries:
-                if any(t < 1 for t in row):
-                    raise ValueError("restriction values must be positive")
+            if not all(self._kind.is_normal(t) for row in self.entries for t in row):
+                raise ValueError(f"restriction values must be {self._kind.normal_word}")
 
-    def validate_for(self, system: CongruenceSystem) -> None:
+    def validate_for(self, system) -> None:
         if not self.entries:
             return
         if len(self.entries) != system.k or len(self.entries[0]) != system.n:
             raise ValueError("restriction table shape must match the system")
+        ring = system.ring
         for row, m_i in zip(self.entries, system.moduli):
             for t in row:
-                if m_i % t:
+                if not ring.divides(t, m_i):
                     raise HypothesisError(
-                        f"restriction value {t} does not divide modulus {m_i}"
+                        f"restriction value {ring.format(t)} does not divide"
+                        f" modulus {ring.format(m_i)}"
                     )
+
+
+def _require_pairwise_coprime(ring: IntRing | PolyRing, moduli: Sequence) -> None:
+    for i in range(len(moduli)):
+        for j in range(i + 1, len(moduli)):
+            if ring.gcd(moduli[i], moduli[j]) != ring.one:
+                raise HypothesisError(
+                    f"moduli {ring.format(moduli[i])} and {ring.format(moduli[j])}"
+                    " are not coprime"
+                )
+
+
+def _crt(ring: IntRing | PolyRing, residues: Sequence, moduli: Sequence, coprime: bool = False):
+    """Simultaneous residue b modulo the normalised lcm of the moduli, as
+    (b, lcm), or None when inconsistent; coprime demands pairwise coprime moduli.
+
+    Solvable exactly when every pair satisfies b_i = b_j mod gcd(m_i, m_j).
+    """
+    if not residues or len(residues) != len(moduli):
+        raise ValueError("residues and moduli must be equal-length and nonempty")
+    if any(ring.norm(m) < 2 for m in moduli):
+        raise ValueError(f"moduli must be {ring.modulus_rule}")
+    if coprime:
+        _require_pairwise_coprime(ring, moduli)
+    m = ring.normalise(moduli[0])
+    b = residues[0] % m
+    for r_i, m_i in zip(residues[1:], moduli[1:]):
+        g = ring.gcd(m, m_i)
+        if (b - r_i) % g != ring.zero:
+            return None
+        # m/g and m_i/g are coprime, so m/g is invertible modulo step.
+        step = m_i // g
+        b += m * ((r_i - b) // g * ring.inverse(m // g, step) % step)
+        m = ring.normalise(m * step)
+        b %= m
+    return b, m
 
 
 def crt_solve(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int] | None:
@@ -95,22 +213,7 @@ def crt_solve(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int]
 
     Solvable exactly when every pair satisfies b_i = b_j mod gcd(m_i, m_j).
     """
-    if not residues or len(residues) != len(moduli):
-        raise ValueError("residues and moduli must be equal-length and nonempty")
-    if any(m < 2 for m in moduli):
-        raise ValueError("moduli must be at least 2")
-    b = residues[0] % moduli[0]
-    m = moduli[0]
-    for r_i, m_i in zip(residues[1:], moduli[1:]):
-        g = math.gcd(m, m_i)
-        if (b - r_i) % g:
-            return None
-        step = m_i // g
-        k = ((r_i - b) // g * pow(m // g, -1, step)) % step if step > 1 else 0
-        b += m * k
-        m *= step
-        b %= m
-    return b, m
+    return _crt(INT, residues, moduli)
 
 
 def lehmer_count(a: Sequence[int], b: int, m: int) -> CountReport:
@@ -132,40 +235,66 @@ def lehmer_count(a: Sequence[int], b: int, m: int) -> CountReport:
     )
 
 
-def _require_pairwise_coprime(moduli: Sequence[int]) -> None:
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            if math.gcd(moduli[i], moduli[j]) != 1:
-                raise HypothesisError(
-                    f"moduli {moduli[i]} and {moduli[j]} are not coprime"
-                )
-
-
-def system_count(system: CongruenceSystem) -> CountReport:
-    """Count solutions of a system with pairwise coprime moduli, in Z_m^n with
-    m the product of the moduli."""
-    _require_pairwise_coprime(system.moduli)
-    m = 1
+def system_count(system: CongruenceSystem | PolyCongruenceSystem) -> CountReport:
+    """Count solutions of a system with pairwise coprime moduli, in R_m^n with
+    m the product of the moduli: |m|^(n-1) times the product of the row gcd
+    norms when each row gcd divides its rhs, else 0."""
+    ring = system.ring
+    _require_pairwise_coprime(ring, system.moduli)
+    norm = 1
     for m_i in system.moduli:
-        m *= m_i
+        norm *= ring.norm(m_i)
     row_gcds = []
     solvable = True
     for row, b_i, m_i in zip(system.coefficients, system.rhs, system.moduli):
-        ell = nary_gcd([*(a % m_i for a in row), m_i])
+        ell = m_i
+        for a in row:
+            ell = ring.gcd(ell, a)
         row_gcds.append(ell)
-        if (b_i % m_i) % ell:
+        if not ring.divides(ell, b_i):
             solvable = False
     count = 0
     if solvable:
-        count = m ** (system.n - 1)
+        count = norm ** (system.n - 1)
         for ell in row_gcds:
-            count *= ell
+            count *= ring.norm(ell)
     return CountReport(
         count=count,
         solvable=solvable,
-        theorem="coprime_system",
-        details={"modulus": m, "row_gcds": row_gcds},
+        theorem="coprime_system" + ring.suffix,
+        details={ring.norm_key: norm, "row_gcds": row_gcds},
     )
+
+
+def _phi_ratio(ring: IntRing | PolyRing, num: Any, den: Any) -> int:
+    """phi(num) / phi(den), which the theory makes exact."""
+    phi_num = ring.phi(num)
+    phi_den = ring.phi(den)
+    if phi_num % phi_den:
+        raise ExactnessError("phi ratio must be exact")
+    return phi_num // phi_den
+
+
+def _single_restricted(ring: IntRing | PolyRing, a: Any, b: Any, m: Any, t: Any) -> CountReport:
+    """`single_restricted_count` over either ring."""
+    if ring.norm(m) < 2:
+        raise ValueError(f"modulus must be {ring.modulus_rule}")
+    if not ring.is_normal(t):
+        raise ValueError(f"restriction value must be {ring.normal_word}")
+    theorem = "restricted_single" + ring.suffix
+    m = ring.normalise(m)
+    b_red = b % m
+    if not ring.divides(t, ring.gcd(b_red, m)):
+        return CountReport(0, False, theorem, {"reason": "t does not divide gcd(b, m)"})
+    mt = m // t
+    d = ring.gcd(a, mt)
+    if d != ring.gcd(b_red // t, mt):
+        return CountReport(0, False, theorem,
+                           {"reason": "gcd(a, m/t) differs from gcd(b/t, m/t)",
+                            "coefficient_gcd": d})
+    count = _phi_ratio(ring, mt, mt // d)
+    return CountReport(count, count > 0, theorem,
+                       {"coefficient_gcd": d, ring.norm_key: ring.norm(m)})
 
 
 def single_restricted_count(a: int, b: int, m: int, t: int) -> CountReport:
@@ -174,76 +303,47 @@ def single_restricted_count(a: int, b: int, m: int, t: int) -> CountReport:
     Solvable iff t divides gcd(b, m) and gcd(a, m/t) = gcd(b/t, m/t); the
     count is then phi(m/t) / phi(m/(t*d)) with d = gcd(a, m/t).
     """
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
-    if t < 1:
-        raise ValueError("restriction value must be positive")
-    b_red = b % m
-    g = math.gcd(b_red, m)
-    if g % t:
-        return CountReport(0, False, "restricted_single",
-                           {"reason": "t does not divide gcd(b, m)"})
-    mt = m // t
-    d = math.gcd(a, mt)
-    if d != math.gcd(b_red // t, mt):
-        return CountReport(0, False, "restricted_single",
-                           {"reason": "gcd(a, m/t) differs from gcd(b/t, m/t)",
-                            "coefficient_gcd": d})
-    num = euler_phi(mt)
-    den = euler_phi(mt // d)
-    if num % den:
-        raise ExactnessError("phi ratio must be exact")
-    count = num // den
-    return CountReport(count, count > 0, "restricted_single",
-                       {"coefficient_gcd": d, "modulus": m})
+    return _single_restricted(INT, a, b, m, t)
 
 
 def prime_by_prime_divisor_table(
-    prime_powers: Sequence[Sequence[R]],
-    b: R,
-    column_moduli: Sequence[R],
-    ramanujan: Callable[[R, R], int],
-    gcd: Callable[[R, R], R],
-    sort_key: Callable[[R], Any],
+    ring: IntRing | PolyRing, m: Any, b: Any, column_moduli: Sequence[Any]
 ) -> tuple[list[dict[str, Any]], int]:
     """Rows and sum of  sum_{d | m} C_d(b) prod_l C_{M_l}(m/d), prime by prime.
 
-    Ring-generic (Z or F_p[t]): prime_powers holds, for each prime power p^e
-    exactly dividing m, the list p^0, ..., p^e; each M_l divides m;
-    ramanujan(q, a) is C_q(a) and gcd is the normalised gcd. C_q(a) is
-    multiplicative in q and depends on a only through gcd(a, q), so the row
-    of d = prod_p p^f is the entrywise product of one local row per prime,
-    with values C_{p^f}(b) and C_{gcd(M_l, p^e)}(p^(e-f)). Those e + 1 local
-    rows per prime are evaluated once and multiplied out. The rows come back
-    as divisor-table dicts ordered by sort_key(divisor).
+    Each M_l divides m, and C is ring.ramanujan. C_q(a) is multiplicative
+    in q and depends on a only through gcd(a, q), so the row of
+    d = prod_p p^f is the entrywise product of one local row per prime power
+    p^e exactly dividing m, with values C_{p^f}(b) and
+    C_{gcd(M_l, p^e)}(p^(e-f)). Those e + 1 local rows per prime are
+    evaluated once and multiplied out. The rows come back as divisor-table
+    dicts ordered by ring.sort_key(divisor).
 
     Raises ExactnessError unless the rows sum to the product over the primes
     of the local sums.
     """
-    local_tables = []
+    rows = [(ring.one, 1, [1] * len(column_moduli), 1)]
     expected = 1
-    for powers in prime_powers:
-        e = len(powers) - 1
-        q_cols = [gcd(m_l, powers[e]) for m_l in column_moduli]
+    for p, e in ring.factor(m):
+        powers = [ring.one]
+        for _ in range(e):
+            powers.append(powers[-1] * p)
+        q_cols = [ring.gcd(m_l, powers[e]) for m_l in column_moduli]
         local = []
         for f, p_f in enumerate(powers):
-            rhs_value = ramanujan(p_f, b)
-            variable_values = [ramanujan(q, powers[e - f]) for q in q_cols]
+            rhs_value = ring.ramanujan(p_f, b)
+            variable_values = [ring.ramanujan(q, powers[e - f]) for q in q_cols]
             prod = rhs_value
             for v in variable_values:
                 prod *= v
             local.append((p_f, rhs_value, variable_values, prod))
-        local_tables.append(local)
         expected *= sum(row[3] for row in local)
-
-    rows = local_tables[0]
-    for local in local_tables[1:]:
         rows = [
             (d * d_p, r * r_p, [v * v_p for v, v_p in zip(vs, vs_p)], prod * prod_p)
             for d, r, vs, prod in rows
             for d_p, r_p, vs_p, prod_p in local
         ]
-    rows.sort(key=lambda row: sort_key(row[0]))
+    rows.sort(key=lambda row: ring.sort_key(row[0]))
     total = sum(row[3] for row in rows)
     if total != expected:
         raise ExactnessError("divisor sum must equal the product of its per-prime sums")
@@ -254,15 +354,23 @@ def prime_by_prime_divisor_table(
     return table, total
 
 
+def _divide_by_norm(ring: IntRing | PolyRing, total: int, m: Any) -> int:
+    """total / |m| for a divisor sum that the theory makes divisible by |m|."""
+    norm = ring.norm(m)
+    if total % norm:
+        raise ExactnessError("divisor sum must be divisible by the norm of the modulus")
+    return total // norm
+
+
 def restricted_system_count(
-    system: CongruenceSystem, restrictions: RestrictionTable
+    system: CongruenceSystem | PolyCongruenceSystem, restrictions: RestrictionTable
 ) -> CountReport:
-    """Count solutions in Z_m^n (m the product of the pairwise coprime moduli)
+    """Count solutions in R_m^n (m the product of the pairwise coprime moduli)
     under the full gcd restriction table.
 
-    Evaluates the Ramanujan-sum formula
-        (1/m) * prod_j phi(m/t_j)/phi(m/(t_j d_j))
-             * sum_{d | m} C_d(b) prod_l C_{m/(t_l d_l)}(m/d)
+    Evaluates the Ramanujan-sum formula (eta sums over F_p[t])
+        (1/|m|) * prod_j phi(m/t_j)/phi(m/(t_j d_j))
+               * sum_{d | m} C_d(b) prod_l C_{m/(t_l d_l)}(m/d)
     with t_j the product of column j's restrictions, d_ij = gcd(a_ij, m_i/t_ij),
     d_j the product of column j's d_ij, and b the simultaneous residue of the
     rhs. The divisor sum is built prime by prime: for each p^e exactly
@@ -271,56 +379,44 @@ def restricted_system_count(
     the product of its primes' values (`prime_by_prime_divisor_table`). The
     formula is total: it returns 0 exactly on unsolvable systems.
     """
-    _require_pairwise_coprime(system.moduli)
+    ring = system.ring
+    _require_pairwise_coprime(ring, system.moduli)
     if not restrictions.entries:
         raise ValueError("restricted_system_count needs a nonempty restriction table")
     restrictions.validate_for(system)
 
-    k, n = system.k, system.n
-    solved = crt_solve(system.rhs, system.moduli)
-    assert solved is not None  # coprime moduli are always consistent
-    b, m = solved
-
+    b, m = _crt(ring, system.rhs, system.moduli)  # coprime moduli: never None
     t_cols = []
     d_cols = []
-    for j in range(n):
-        t_j = 1
-        d_j = 1
-        for i in range(k):
+    for j in range(system.n):
+        t_j = d_j = ring.one
+        for i in range(system.k):
             t_ij = restrictions.entries[i][j]
-            t_j *= t_ij
-            d_j *= math.gcd(system.coefficients[i][j], system.moduli[i] // t_ij)
+            t_j = t_j * t_ij
+            m_over = ring.normalise(system.moduli[i]) // t_ij
+            d_j = d_j * ring.gcd(system.coefficients[i][j], m_over)
         t_cols.append(t_j)
         d_cols.append(d_j)
 
     ratio = 1
     for t_j, d_j in zip(t_cols, d_cols):
-        num = euler_phi(m // t_j)
-        den = euler_phi(m // (t_j * d_j))
-        if num % den:
-            raise ExactnessError("phi ratio must be exact")
-        ratio *= num // den
+        ratio *= _phi_ratio(ring, m // t_j, m // (t_j * d_j))
 
     table, total = prime_by_prime_divisor_table(
-        [[p**f for f in range(e + 1)] for p, e in factorize(m).factors],
-        b,
-        [m // (t_l * d_l) for t_l, d_l in zip(t_cols, d_cols)],
-        ramanujan_c,
-        math.gcd,
-        int,
+        ring, m, b, [m // (t_l * d_l) for t_l, d_l in zip(t_cols, d_cols)]
     )
-    if total % m:
-        raise ExactnessError("divisor sum must be divisible by the modulus")
-    count = ratio * (total // m)
+    count = ratio * _divide_by_norm(ring, total, m)
     if count < 0:
         raise ExactnessError("restricted count must be nonnegative")
     return CountReport(
         count=count,
         solvable=count > 0,
-        theorem="restricted_system",
+        theorem="restricted_system" + ring.suffix,
         details={
             "crt_residue": b,
+            # Over Z the norm is the modulus itself and both keys are "modulus".
             "modulus": m,
+            ring.norm_key: ring.norm(m),
             "restriction_products": t_cols,
             "coefficient_gcds": d_cols,
             "phi_ratio": ratio,
@@ -330,9 +426,60 @@ def restricted_system_count(
     )
 
 
-def _restriction_triples(
-    system: CongruenceSystem, restrictions: RestrictionTable | None
-) -> list[tuple[int, int, int]]:
+def _unit_coefficient_sum(
+    ring: IntRing | PolyRing, m: Any, b: Any, t: Sequence[Any]
+) -> CountReport:
+    """Solutions of x_1 + ... + x_n = b mod m with gcd(x_i, m) = t_i.
+
+    Evaluated as (1/|m|) * sum over d | m of C_d(b) * prod_i C_{m/t_i}(m/d),
+    the divisor sum built prime by prime with M_i = m/t_i; the sum is
+    asserted divisible by |m| and the result nonnegative.
+    """
+    if not t:
+        raise ValueError("at least one restriction required")
+    m = ring.normalise(m)
+    if not all(ring.is_normal(t_i) and ring.divides(t_i, m) for t_i in t):
+        raise ValueError(f"each t_i must be a {ring.normal_word} divisor of m")
+    table, total = prime_by_prime_divisor_table(ring, m, b, [m // t_i for t_i in t])
+    count = _divide_by_norm(ring, total, m)
+    if count < 0:
+        raise ExactnessError("restricted count must be nonnegative")
+    return CountReport(
+        count=count,
+        solvable=count > 0,
+        theorem="restricted_sum" + ring.suffix,
+        details={ring.norm_key: ring.norm(m), "divisor_table": table, "divisor_sum": total},
+    )
+
+
+def restricted_count_unit_coeffs(m: int, b: int, t: Sequence[int]) -> int:
+    """Solutions of x_1 + ... + x_n = b mod m with gcd(x_i, m) = t_i.
+
+    Evaluated as (1/m) * sum over d | m of C_d(b) * prod_i C_{m/t_i}(m/d); the
+    divisor sum is asserted divisible by m and the result nonnegative.
+    """
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    return _unit_coefficient_sum(INT, m, b, t).count
+
+
+def _scan_modulus(system, cap: int) -> tuple[Any, int]:
+    """The lcm of the moduli and its norm, once the norm^n residue tuples are
+    known to fit within cap. Neither the lcm nor a long tuple count is ever
+    written in decimal: both can pass Python's limit on int-to-str conversion."""
+    ring = system.ring
+    lcm = ring.lcm(system.moduli)
+    size = ring.norm(lcm)
+    total = size**system.n
+    if total > cap:
+        shown = total if total < 10**50 else f"about 10^{math.log10(total):.1f}"
+        raise CapExceededError(f"scan of {shown} tuples exceeds cap {cap}")
+    return lcm, size
+
+
+def _restriction_triples(system, restrictions: RestrictionTable | None) -> list[tuple]:
+    """(j, m_i, t_ij) for every entry of a nonempty table, checked against
+    the system; [] for no restrictions."""
     if restrictions is None or not restrictions.entries:
         return []
     restrictions.validate_for(system)
@@ -352,27 +499,22 @@ def enumerate_solutions(
 
     Independent of every counting formula above. Returns (count, solutions)
     where solutions is the lexicographically ordered list of solution tuples
-    when there are at most 1000 of them, else None.
+    when there are at most 1000 of them, else None. The scan is vectorised
+    in int64, so it covers only m below 3*10^9.
     """
-    m = nary_lcm(system.moduli)
-    n = system.n
-    total = m**n
-    if total > cap:
-        raise CapExceededError(f"scan of {total} tuples exceeds cap {cap}")
+    m, _ = _scan_modulus(system, cap)
+    if m >= _NUMPY_MODULUS_LIMIT:
+        raise CapExceededError(f"the oracle scans only moduli below {_NUMPY_MODULUS_LIMIT}")
+    import numpy as np
+
     triples = _restriction_triples(system, restrictions)
     rows = [
         (tuple(a % m_i for a in row), m_i, b_i % m_i)
         for row, m_i, b_i in zip(system.coefficients, system.moduli, system.rhs)
     ]
-    if m < _NUMPY_MODULUS_LIMIT:
-        return _enumerate_numpy(rows, triples, m, n, total)
-    return _enumerate_python(rows, triples, m, n)
-
-
-def _enumerate_numpy(rows, triples, m, n, total):
-    import numpy as np
-
+    n = system.n
     block = 1 << 20
+    total = m**n
     pows = [m ** (n - 1 - j) for j in range(n)]
     count = 0
     hits: list[int] | None = []
@@ -400,30 +542,3 @@ def _enumerate_numpy(rows, triples, m, n, total):
         return count, None
     solutions = [tuple((f // p) % m for p in pows) for f in hits]
     return count, solutions
-
-
-def _enumerate_python(rows, triples, m, n):
-    count = 0
-    hits: list[tuple[int, ...]] | None = []
-    for candidate in product(range(m), repeat=n):
-        ok = True
-        for row, m_i, b_i in rows:
-            acc = 0
-            for a_ij, x_j in zip(row, candidate):
-                acc = (acc + a_ij * x_j) % m_i
-            if acc != b_i:
-                ok = False
-                break
-        if ok:
-            for j, m_i, t_ij in triples:
-                if math.gcd(candidate[j], m_i) != t_ij:
-                    ok = False
-                    break
-        if ok:
-            count += 1
-            if hits is not None:
-                if count <= 1000:
-                    hits.append(candidate)
-                else:
-                    hits = None
-    return count, hits

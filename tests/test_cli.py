@@ -106,12 +106,19 @@ def test_enumerate_withholds_large_solution_lists(capsys, tmp_path):
     assert payload["solutions"] is None
 
 
-def test_enumerate_cap_exceeded(capsys):
+def test_enumerate_cap_exceeded(capsys, tmp_path):
     code, _, err = run(
         capsys, "enumerate", "--cap", "10", sample("int_system_12_35.cong")
     )
     assert code == 2
     assert "exceeds cap" in err
+    # A modulus past the int64 scan's limit is refused, not scanned.
+    path = tmp_path / "wide_modulus.cong"
+    path.write_text("mod 3000000019: x1 = 0\n")
+    code, out, err = run(capsys, "enumerate", "--cap", "10000000000", str(path))
+    assert code == 2
+    assert out == ""
+    assert "moduli below 3000000000" in err
 
 
 def test_snf_subcommand(capsys):
@@ -349,6 +356,26 @@ def test_huge_counts_print_in_full(capsys, tmp_path):
     assert snf["count"] == want
     assert snf["modulus"] == "1" + "0" * 50
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+
+def test_oracle_cap_with_huge_tuple_counts(capsys, tmp_path):
+    # (10^50)^201 and (3^100)^100 tuples: the cap message must not write
+    # either count in decimal, both being past Python's 4300-digit limit.
+    int_terms = " + ".join(f"x{j}" for j in range(1, 202))
+    poly_terms = " + ".join(f"x{j}" for j in range(1, 101))
+    for text in (
+        f"mod {10**50}: {int_terms} = 1\n",
+        f"field GF(3)\nmod t^100: {poly_terms} = 1\n",
+    ):
+        path = tmp_path / "huge.cong"
+        path.write_text(text)
+        payload = run_json(capsys, "verify", str(path))
+        assert payload["agreement"] is True
+        assert "exceeds cap" in payload["methods"]["oracle"]["skipped"]
+        code, out, err = run(capsys, "enumerate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "exceeds cap" in err
 
 
 @pytest.mark.skipif(

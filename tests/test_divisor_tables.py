@@ -26,6 +26,8 @@ from congruences import (
     poly_gcd,
     ramanujan_c,
     residues,
+    restricted_count_unit_coeffs,
+    restricted_count_unit_coeffs_ff,
     restricted_system_count,
     restricted_system_count_ff,
 )
@@ -87,6 +89,20 @@ def per_divisor_table_ff(system, restrictions):
         rows.append({"divisor": d, "rhs_value": rhs_value,
                      "variable_values": variable_values, "product": prod})
     return rows
+
+
+def unit_coefficient_inputs(system, restrictions, crt):
+    """(m, b, t) for x_1 + ... + x_n = b mod m with gcd(x_j, m) = t_j, taken
+    from a system: m and b from its CRT, t_j the product of column j's
+    restrictions."""
+    b, m = crt(system.rhs, system.moduli)
+    t = []
+    for column in zip(*restrictions.entries):
+        t_j = column[0]
+        for t_ij in column[1:]:
+            t_j = t_j * t_ij
+        t.append(t_j)
+    return m, b, t
 
 
 def random_int_system(rng, exponents):
@@ -193,6 +209,12 @@ def test_int_divisor_table_matches_per_divisor_evaluation():
         assert len(table) == math.prod(e + 1 for e in exponents)
         assert report.details["divisor_sum"] == sum(row["product"] for row in table)
         nonzero += report.details["divisor_sum"] != 0
+        m, b, t = unit_coefficient_inputs(system, restrictions, crt_solve)
+        unit_system = CongruenceSystem(((1,) * len(t),), (m,), (b,))
+        unit_table = per_divisor_table_int(unit_system, RestrictionTable((tuple(t),)))
+        assert restricted_count_unit_coeffs(m, b, t) == sum(
+            row["product"] for row in unit_table
+        ) // m
     assert nonzero >= 10
 
 
@@ -209,4 +231,12 @@ def test_ff_divisor_table_matches_per_divisor_evaluation():
         assert table == reference
         assert report.details["divisor_sum"] == sum(row["product"] for row in table)
         nonzero += report.details["divisor_sum"] != 0
+        big_h, b, t = unit_coefficient_inputs(system, restrictions, crt_poly)
+        one = GFPolynomial.one(field)
+        unit_system = PolyCongruenceSystem(field, ((one,) * len(t),), (big_h,), (b,))
+        unit_report = restricted_count_unit_coeffs_ff(big_h, b, t)
+        assert unit_report.details["divisor_table"] == per_divisor_table_ff(
+            unit_system, PolyRestrictionTable((tuple(t),))
+        )
+        assert unit_report.theorem == "restricted_sum_poly"
     assert nonzero >= 8

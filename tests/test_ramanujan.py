@@ -190,6 +190,8 @@ def test_restricted_count_unit_coeffs_values():
     # Single unknown: gcd(b, m) must equal t.
     assert restricted_count_unit_coeffs(12, 4, (4,)) == 1
     assert restricted_count_unit_coeffs(12, 4, (2,)) == 0
+    # m = 1: the single residue 0 solves everything.
+    assert restricted_count_unit_coeffs(1, 0, (1,)) == 1
 
 
 def test_restricted_count_validation():

@@ -305,6 +305,10 @@ def test_enumerate_cap():
     system = CongruenceSystem(((0,) * 11,), (2,), (0,))
     with pytest.raises(CapExceededError):
         enumerate_solutions(system, cap=100)
+    # Past the int64 scan's modulus limit the oracle refuses, whatever the cap.
+    system = CongruenceSystem(((1,),), (3000000019,), (0,))
+    with pytest.raises(CapExceededError):
+        enumerate_solutions(system, cap=10**10)
 
 
 def test_congruence_system_validation():

@@ -183,8 +183,7 @@ class PolyRing:
         """eta(A, Q), the analogue of the Ramanujan sum C_q(a)."""
         return eta(a, q)
 
-    def sort_key(self, d: GFPolynomial) -> tuple[int, tuple[int, ...]]:
-        return d.sort_key()
+    sort_key = staticmethod(GFPolynomial.sort_key)
 
     def format(self, value: GFPolynomial) -> str:
         return format_poly(value)

@@ -77,9 +77,7 @@ class IntRing:
         """The Ramanujan sum C_q(a)."""
         return ramanujan_c(q, a)
 
-    def sort_key(self, d: int) -> int:
-        return d
-
+    sort_key = int
     format = str
 
     def system(self, coefficients, moduli, rhs) -> CongruenceSystem:
@@ -343,7 +341,8 @@ def prime_by_prime_divisor_table(
             for d, r, vs, prod in rows
             for d_p, r_p, vs_p, prod_p in local
         ]
-    rows.sort(key=lambda row: ring.sort_key(row[0]))
+    sort_key = ring.sort_key
+    rows.sort(key=lambda row: sort_key(row[0]))
     total = sum(row[3] for row in rows)
     if total != expected:
         raise ExactnessError("divisor sum must equal the product of its per-prime sums")

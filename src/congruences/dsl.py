@@ -473,7 +473,10 @@ def build_restrictions(
 def parse_poly(text: str, field: PrimeField) -> GFPolynomial:
     """Parse one polynomial in t over field, in the document syntax: terms
     c, t, c*t^k, t^k joined by + and -, optional leading -. Raises
-    ValueError on anything else."""
+    ValueError on anything else, including "#", which starts a comment
+    only in a document."""
+    if "#" in text:
+        raise ValueError(f"bad polynomial {text!r}: unexpected character '#'")
     try:
         parser = _Parser(text)
         parser.field = field

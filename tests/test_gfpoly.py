@@ -312,7 +312,7 @@ def test_parse_poly_examples():
 
 def test_parse_poly_errors():
     field = PrimeField(3)
-    for bad in ("", "t*", "x", "2*x", "t^", "3 4", "+", "t^-1", "2**t"):
+    for bad in ("", "t*", "x", "2*x", "t^", "3 4", "+", "t^-1", "2**t", "t # 1"):
         with pytest.raises(ValueError):
             parse_poly(bad, field)
 

@@ -1,11 +1,11 @@
-"""F_p[t] behind the ring interface of the systems module: eta sums, the
-ring itself, and the exhaustive enumeration oracle.
+"""F_p[t] behind the ring interface of the systems module: the ring itself,
+the brute-force eta oracle and the exhaustive enumeration oracle.
 
-The counting theorems live once in `systems`; `PolyRing` supplies their
-polynomial analogues: |H| = p^deg(H) replaces the modulus and eta(G, H)
-replaces the Ramanujan sum. Additive characters are handled through their
-exponents (integers in [0, p)), never through complex numbers. The `_ff`
-functions and `crt_poly` are entry points over the shared theorems.
+The counting theorems and character sums live once in `systems`; `PolyRing`
+supplies their polynomial analogues: |H| = p^deg(H) replaces the modulus and
+eta(G, H) the Ramanujan sum. Additive characters are handled through their
+exponents (integers in [0, p)), never through complex numbers. The eta, I/J
+and `_ff` functions and `crt_poly` are entry points over the shared formulas.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ from .systems import (
     DEFAULT_ENUMERATION_CAP,
     RestrictionTable,
     _crt,
+    _e_value,
+    _j_value,
+    _ramanujan_divisor_sum,
+    _ramanujan_sum,
     _restriction_triples,
     _scan_modulus,
     _single_restricted,
@@ -81,29 +85,14 @@ def eta(g: GFPolynomial, h: GFPolynomial) -> int:
     """
     if h.is_zero:
         raise ValueError("modulus must be nonzero")
-    big_h = h.monic()
-    if big_h.degree == 0:
-        return 1
-    g_part = poly_gcd(g, big_h)
-    return sum(d.norm() * mobius_poly(big_h // d) for d in monic_divisors(g_part))
+    return _ramanujan_divisor_sum(PolyRing(h.field), h, g)
 
 
 def eta_closed_form(g: GFPolynomial, h: GFPolynomial) -> int:
-    """eta via phi(H) mu(N) / phi(N) with N = H / gcd(G, H); exact division."""
+    """eta as the product over P^s exactly dividing H of its local values."""
     if h.is_zero:
         raise ValueError("modulus must be nonzero")
-    big_h = h.monic()
-    if big_h.degree == 0:
-        return 1
-    n_part = big_h // poly_gcd(g, big_h)
-    mu = mobius_poly(n_part)
-    if mu == 0:
-        return 0
-    phi_h = phi_poly(big_h)
-    phi_n = phi_poly(n_part)
-    if phi_h % phi_n:
-        raise ExactnessError("phi(N) must divide phi(H)")
-    return mu * (phi_h // phi_n)
+    return _ramanujan_sum(PolyRing(h.field), h, g)
 
 
 def eta_direct_oracle(g: GFPolynomial, h: GFPolynomial) -> int:
@@ -136,7 +125,7 @@ class PolyRing:
     """F_p[t] behind the ring interface of `systems.IntRing`.
 
     Normal forms are monic, the norm of H is |H| = p^deg(H) (0 for the zero
-    polynomial), and eta(B, H) stands in for the Ramanujan sum C_H(B). The
+    polynomial), and eta(B, H) is the Ramanujan sum C_H(B). The
     methods look their helpers up at call time, so they follow whatever the
     module namespace holds.
     """
@@ -179,9 +168,11 @@ class PolyRing:
     def phi(self, h: GFPolynomial) -> int:
         return phi_poly(h)
 
-    def ramanujan(self, q: GFPolynomial, a: GFPolynomial) -> int:
-        """eta(A, Q), the analogue of the Ramanujan sum C_q(a)."""
-        return eta(a, q)
+    def mobius(self, h: GFPolynomial) -> int:
+        return mobius_poly(h)
+
+    def divisors(self, h: GFPolynomial) -> tuple[GFPolynomial, ...]:
+        return monic_divisors(h)
 
     sort_key = staticmethod(GFPolynomial.sort_key)
 
@@ -283,33 +274,12 @@ def i_and_j_functions_ff(
     """
     if any(h.is_zero for h in moduli) or ambient.is_zero:
         raise ValueError("moduli and ambient modulus must be nonzero")
-    lcm = poly_lcm_many(moduli)
     big_h = ambient.monic()
-    if not lcm.divides(big_h):
+    if not poly_lcm_many(moduli).divides(big_h):
         raise ValueError("ambient modulus must be a common multiple of the moduli")
-
-    def j_value(parts: Sequence[GFPolynomial]) -> int:
-        part_lcm = poly_lcm_many(parts)
-        if not (big_h // part_lcm).divides(a):
-            return 0
-        prod = 1
-        for h_i in parts:
-            prod *= h_i.norm()
-        return prod // part_lcm.norm()
-
-    j_val = j_value([h.monic() for h in moduli])
-    i_val = 0
-    divisor_lists = [monic_divisors(h.monic()) for h in moduli]
-    for combo in product(*divisor_lists):
-        sign = 1
-        for h_i, d_i in zip(moduli, combo):
-            sign *= mobius_poly(h_i.monic() // d_i)
-            if sign == 0:
-                break
-        if sign == 0:
-            continue
-        i_val += sign * j_value(combo)
-    return i_val, j_val
+    ring = PolyRing(big_h.field)
+    moduli = [h.monic() for h in moduli]
+    return _e_value(ring, a, moduli, big_h), _j_value(ring, a, moduli, big_h)
 
 
 def enumerate_solutions_ff(

@@ -1,47 +1,32 @@
-"""Ramanujan sums, even functions and their divisor-sum transforms.
+"""Ramanujan sums, even functions and their divisor-sum transforms over Z.
 
-All character sums are evaluated as integer divisor sums; no complex
-exponentials appear anywhere.
+The sums are written once for both rings in `systems`, in integers only (no
+complex exponentials anywhere); the functions here are their Z entry points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Mapping
 
-from .errors import ExactnessError
-from .intarith import divisors, euler_phi, mobius, nary_lcm
+from .intarith import divisors, nary_lcm
+from .systems import INT, _e_value, _j_value, _ramanujan_divisor_sum, _ramanujan_sum
 
 
 def ramanujan_c_sum(m: int, a: int) -> int:
     """C_m(a) by the explicit formula: sum of mu(m/d) * d over d | gcd(a, m)."""
     if m < 1:
         raise ValueError("modulus must be positive")
-    g = math.gcd(a, m)
-    return sum(mobius(m // d) * d for d in divisors(g))
+    return _ramanujan_divisor_sum(INT, m, a)
 
 
 def ramanujan_c(m: int, a: int) -> int:
-    """Ramanujan sum C_m(a).
-
-    Evaluated through the closed form phi(m) mu(N) / phi(N) with N = m / (a, m);
-    the division is exact because phi(N) divides phi(m). Agreement with the
-    explicit divisor sum is pinned by the test suite.
-    """
+    """Ramanujan sum C_m(a), the product over p^s exactly dividing m of its
+    local values; the test suite pins its agreement with the divisor sum."""
     if m < 1:
         raise ValueError("modulus must be positive")
-    g = math.gcd(a, m)
-    n = m // g
-    mu = mobius(n)
-    if mu == 0:
-        return 0
-    phi_m = euler_phi(m)
-    phi_n = euler_phi(n)
-    if phi_m % phi_n:
-        raise ExactnessError("phi(N) must divide phi(m)")
-    return mu * (phi_m // phi_n)
+    return _ramanujan_sum(INT, m, a)
 
 
 @dataclass(frozen=True)
@@ -93,13 +78,7 @@ class MultiIndex:
 
 def j_function(b: int, idx: MultiIndex) -> int:
     """J(b; m_1..m_n): product of the m_i over their lcm when (m/lcm) | b, else 0."""
-    lcm = nary_lcm(idx.moduli)
-    if b % (idx.ambient // lcm):
-        return 0
-    out = 1
-    for m_i in idx.moduli:
-        out *= m_i
-    return out // lcm
+    return _j_value(INT, b, idx.moduli, idx.ambient)
 
 
 def e_function(b: int, idx: MultiIndex) -> int:
@@ -109,15 +88,4 @@ def e_function(b: int, idx: MultiIndex) -> int:
     sum over d_i | m_i of J(b; d_1..d_n) mu(m_1/d_1) ... mu(m_n/d_n), with the
     same ambient modulus throughout.
     """
-    total = 0
-    divisor_lists = [divisors(m_i) for m_i in idx.moduli]
-    for combo in product(*divisor_lists):
-        sign = 1
-        for m_i, d_i in zip(idx.moduli, combo):
-            sign *= mobius(m_i // d_i)
-            if sign == 0:
-                break
-        if sign == 0:
-            continue
-        total += sign * j_function(b, MultiIndex(combo, idx.ambient))
-    return total
+    return _e_value(INT, b, idx.moduli, idx.ambient)

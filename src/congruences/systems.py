@@ -4,7 +4,9 @@ The counting theorems are written once, against a small ring interface:
 `IntRing` below for Z, and `ffsystems.PolyRing` for F_p[t], where |H| =
 p^deg(H) is the norm and eta sums stand in for Ramanujan sums. A system
 carries its ring, so every formula here serves both (single congruence gcd
-test, coprime systems, gcd-restricted systems via Ramanujan sums).
+test, coprime systems, gcd-restricted systems via Ramanujan sums). So do
+the character sums beneath them: the Ramanujan sum by its local product and
+by its divisor sum, and the E (I) and J functions.
 Enumeration over Z is an independent exhaustive oracle over residue tuples.
 """
 
@@ -12,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import CapExceededError, ExactnessError, HypothesisError
-from .intarith import euler_phi, factorize, nary_gcd, nary_lcm
-from .ramanujan import ramanujan_c
+from .intarith import divisors, euler_phi, factorize, mobius, nary_gcd, nary_lcm
 from .report import CountReport
 
 if TYPE_CHECKING:
@@ -73,9 +75,11 @@ class IntRing:
     def phi(self, m: int) -> int:
         return euler_phi(m)
 
-    def ramanujan(self, q: int, a: int) -> int:
-        """The Ramanujan sum C_q(a)."""
-        return ramanujan_c(q, a)
+    def mobius(self, m: int) -> int:
+        return mobius(m)
+
+    def divisors(self, m: int) -> tuple[int, ...]:
+        return divisors(m)
 
     sort_key = int
     format = str
@@ -304,18 +308,73 @@ def single_restricted_count(a: int, b: int, m: int, t: int) -> CountReport:
     return _single_restricted(INT, a, b, m, t)
 
 
+def _local_ramanujan(norm: int, s: int, v: int) -> int:
+    """C_{P^s}(a) for a prime P of norm |P| and v = v_P(a) (or any v >= s
+    when P^s divides a): 1 when s = 0, |P|^(s-1) (|P| - 1) when P^s | a,
+    -|P|^(s-1) when P^(s-1) exactly divides a, else 0."""
+    if s == 0:
+        return 1
+    if v >= s:
+        return norm ** (s - 1) * (norm - 1)
+    return -(norm ** (s - 1)) if v == s - 1 else 0
+
+
+def _valuation(ring: IntRing | PolyRing, p: Any, a: Any, cap: int) -> int:
+    """v_P(a) capped at cap, so a = 0 gives cap."""
+    v = 0
+    while v < cap and a % p == ring.zero:
+        a //= p
+        v += 1
+    return v
+
+
+def _ramanujan_sum(ring: IntRing | PolyRing, q: Any, a: Any) -> int:
+    """C_q(a), eta(A, Q) over F_p[t], as the product of its local values
+    over the prime powers P^s exactly dividing q."""
+    return math.prod(
+        _local_ramanujan(ring.norm(p), s, _valuation(ring, p, a, s)) for p, s in ring.factor(q)
+    )
+
+
+def _ramanujan_divisor_sum(ring: IntRing | PolyRing, q: Any, a: Any) -> int:
+    """C_q(a) as the sum of |d| mu(q/d) over the normal divisors d of gcd(a, q)."""
+    q = ring.normalise(q)
+    return sum(ring.norm(d) * ring.mobius(q // d) for d in ring.divisors(ring.gcd(a, q)))
+
+
+def _j_value(ring: IntRing | PolyRing, a: Any, moduli: Sequence, ambient: Any) -> int:
+    """J(a; m_1..m_n): the product of the |m_i| over |lcm| when (ambient / lcm)
+    divides a, else 0. Moduli and ambient modulus are normal."""
+    lcm = ring.lcm(moduli)
+    if not ring.divides(ambient // lcm, a):
+        return 0
+    return math.prod(ring.norm(m_i) for m_i in moduli) // ring.norm(lcm)
+
+
+def _e_value(ring: IntRing | PolyRing, a: Any, moduli: Sequence, ambient: Any) -> int:
+    """E(a; m_1..m_n), I over F_p[t]: the Mobius expansion, over normal
+    d_i dividing m_i, of J(a; d_1..d_n) mu(m_1/d_1) ... mu(m_n/d_n), with the
+    same ambient modulus throughout. Moduli and ambient modulus are normal."""
+    total = 0
+    for combo in product(*(ring.divisors(m_i) for m_i in moduli)):
+        sign = math.prod(ring.mobius(m_i // d_i) for m_i, d_i in zip(moduli, combo))
+        if sign:
+            total += sign * _j_value(ring, a, combo, ambient)
+    return total
+
+
 def prime_by_prime_divisor_table(
     ring: IntRing | PolyRing, m: Any, b: Any, column_moduli: Sequence[Any]
 ) -> tuple[list[dict[str, Any]], int]:
     """Rows and sum of  sum_{d | m} C_d(b) prod_l C_{M_l}(m/d), prime by prime.
 
-    Each M_l divides m, and C is ring.ramanujan. C_q(a) is multiplicative
-    in q and depends on a only through gcd(a, q), so the row of
-    d = prod_p p^f is the entrywise product of one local row per prime power
-    p^e exactly dividing m, with values C_{p^f}(b) and
-    C_{gcd(M_l, p^e)}(p^(e-f)). Those e + 1 local rows per prime are
-    evaluated once and multiplied out. The rows come back as divisor-table
-    dicts ordered by ring.sort_key(divisor).
+    Each M_l divides m, and C is the Ramanujan sum (eta over F_p[t]). C_q(a)
+    is multiplicative in q, so the row of d = prod_p p^f is the entrywise
+    product of one local row per prime power p^e exactly dividing m, with the
+    local values C_{p^f}(b) and C_{p^mu_l}(p^(e-f)), p^mu_l exactly dividing
+    M_l. Those e + 1 local rows per prime are evaluated once and multiplied
+    out. The rows come back as divisor-table dicts ordered by
+    ring.sort_key(divisor).
 
     Raises ExactnessError unless the rows sum to the product over the primes
     of the local sums.
@@ -323,18 +382,16 @@ def prime_by_prime_divisor_table(
     rows = [(ring.one, 1, [1] * len(column_moduli), 1)]
     expected = 1
     for p, e in ring.factor(m):
-        powers = [ring.one]
-        for _ in range(e):
-            powers.append(powers[-1] * p)
-        q_cols = [ring.gcd(m_l, powers[e]) for m_l in column_moduli]
+        norm = ring.norm(p)
+        v_b = _valuation(ring, p, b, e)
+        mus = [_valuation(ring, p, m_l, e) for m_l in column_moduli]
         local = []
-        for f, p_f in enumerate(powers):
-            rhs_value = ring.ramanujan(p_f, b)
-            variable_values = [ring.ramanujan(q, powers[e - f]) for q in q_cols]
-            prod = rhs_value
-            for v in variable_values:
-                prod *= v
-            local.append((p_f, rhs_value, variable_values, prod))
+        p_f = ring.one
+        for f in range(e + 1):
+            r = _local_ramanujan(norm, f, v_b)
+            vs = [_local_ramanujan(norm, mu, e - f) for mu in mus]
+            local.append((p_f, r, vs, math.prod(vs, start=r)))
+            p_f = p_f * p
         expected *= sum(row[3] for row in local)
         rows = [
             (d * d_p, r * r_p, [v * v_p for v, v_p in zip(vs, vs_p)], prod * prod_p)

@@ -1,8 +1,8 @@
 """Differential tests of the restricted-count divisor tables, both rings.
 
-The library builds each table prime by prime. The reference here evaluates
-every row directly, one Ramanujan (eta) sum per divisor and column, as the
-formula reads. The systems reach tau(m) = 4096 and H with five irreducible
+The library builds each table prime by prime from the sums' local values.
+The reference here evaluates every row directly, one Ramanujan (eta) divisor
+sum per divisor and column, as the formula reads. The systems reach tau(m) = 4096 and H with five irreducible
 factors, beyond the brute-force oracle's reach.
 """
 
@@ -24,7 +24,7 @@ from congruences import (
     factorize_poly,
     monic_divisors,
     poly_gcd,
-    ramanujan_c,
+    ramanujan_c_sum,
     residues,
     restricted_count_unit_coeffs,
     restricted_count_unit_coeffs_ff,
@@ -50,9 +50,9 @@ def per_divisor_table_int(system, restrictions):
         d_cols.append(d_j)
     rows = []
     for d in divisors(m):
-        rhs_value = ramanujan_c(d, b)
+        rhs_value = ramanujan_c_sum(d, b)
         variable_values = [
-            ramanujan_c(m // (t_l * d_l), m // d) for t_l, d_l in zip(t_cols, d_cols)
+            ramanujan_c_sum(m // (t_l * d_l), m // d) for t_l, d_l in zip(t_cols, d_cols)
         ]
         prod = rhs_value
         for v in variable_values:

@@ -144,6 +144,19 @@ def test_eta_triple_agreement_random_larger():
         want = eta_direct_oracle(g, h)
         assert eta(g, h) == want
         assert eta_closed_form(g, h) == want
+    # Prime powers P^e with e up to 8, beyond the oracle's guard: the divisor
+    # sum and the local product, at every valuation of G around e.
+    for p, irreducible in ((2, P(2, 1, 1, 1)), (3, P(3, 1, 0, 1)), (5, P(5, 2, 1))):
+        for e in range(1, 9):
+            h = irreducible
+            for _ in range(e - 1):
+                h = h * irreducible
+            for j in range(e + 2):
+                unit = random_poly(rng, PrimeField(p), rng.randrange(0, 2))
+                g = unit
+                for _ in range(j):
+                    g = g * irreducible
+                assert eta(g, h) == eta_closed_form(g, h)
 
 
 def test_eta_direct_oracle_guard():

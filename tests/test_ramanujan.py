@@ -51,6 +51,13 @@ def test_explicit_sum_matches_closed_form():
     for m in range(1, 301):
         for a in range(m + 1):
             assert ramanujan_c_sum(m, a) == ramanujan_c(m, a)
+    # Prime powers far past m <= 300, at every valuation of a around the exponent.
+    for m, p, e in ((2**60, 2, 60), (3**40, 3, 40), (7**2 * 11**3, 11, 3)):
+        for j in (*range(e + 2), 2 * e):
+            for unit in (1, -1, 5 * 13, m + 1):
+                a = p**j * unit
+                assert ramanujan_c_sum(m, a) == ramanujan_c(m, a)
+        assert ramanujan_c(m, 0) == ramanujan_c_sum(m, 0) == euler_phi(m)
 
 
 def test_evenness_mod_m():

@@ -2,8 +2,8 @@
 
 Everything works on plain Python ints (arbitrary precision) and never touches
 floating point. Factorization is trial division up to 10**6 followed by
-Pollard rho with deterministic Miller-Rabin primality checks, so results are
-reproducible across runs.
+Pollard rho, with Miller-Rabin primality checks that are deterministic below
+3.18 * 10**23 and Baillie-PSW above, so results are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -16,8 +16,11 @@ from typing import Sequence
 
 _TRIAL_LIMIT = 10**6
 
-# Deterministic witness set, sufficient for every n < 3.3 * 10**24.
+# The first 12 primes as Miller-Rabin witnesses decide primality for every
+# n below psi_12 = 318665857834031151167461, the least strong pseudoprime to
+# all of them; above it a strong Lucas test completes Baillie-PSW.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_DETERMINISTIC_BOUND = 318665857834031151167461
 
 
 @dataclass(frozen=True)
@@ -48,10 +51,12 @@ class FactoredInteger:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the sizes this library handles."""
+    """Miller-Rabin to the first 12 prime bases, deterministic below psi_12;
+    from psi_12 on, also the strong Lucas test, so it is then at least the
+    Baillie-PSW test, which no composite is known to pass."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -69,7 +74,66 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_DETERMINISTIC_BOUND or _strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a / n) for odd n >= 1."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters (Baillie-Wagstaff 1980)
+    for odd n > 37 with no prime factor up to 37.
+
+    D is the first of 5, -7, 9, -11, ... with (D / n) = -1, P = 1 and
+    Q = (1 - D) / 4. With n + 1 = d * 2^s, d odd, n passes when U_d = 0 or
+    V_(d 2^r) = 0 (mod n) for some 0 <= r < s.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D / n) = -1 exists for a square
+    d_param = 5
+    while True:
+        jacobi = _jacobi(d_param, n)
+        if jacobi == -1:
+            break
+        if jacobi == 0:
+            return False  # gcd(D, n) > 1 and n > |D|
+        d_param = -d_param - 2 if d_param > 0 else -d_param + 2
+    q = (1 - d_param) // 4
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k mod n, from k = 1 up the binary digits of d.
+    u, v, q_k = 1, 1, q % n
+    for bit in bin(d)[3:]:
+        u, v, q_k = u * v % n, (v * v - 2 * q_k) % n, q_k * q_k % n
+        if bit == "1":
+            u, v = u + v, d_param * u + v  # twice U_(k+1), V_(k+1) for P = 1
+            u = (u + n if u % 2 else u) // 2 % n
+            v = (v + n if v % 2 else v) // 2 % n
+            q_k = q_k * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * q_k) % n
+        if v == 0:
+            return True
+        q_k = q_k * q_k % n
+    return False
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:

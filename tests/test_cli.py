@@ -181,6 +181,23 @@ def test_phi_subcommand(capsys):
     assert code == 1
 
 
+def test_strong_pseudoprime_psi12_is_composite(capsys, tmp_path):
+    # 399165290221 * 798330580441 passes Miller-Rabin to every base up to 37.
+    psi12 = "318665857834031151167461"
+    phi = "318665857832833655296800"
+    assert run_json(capsys, "phi", psi12)["value"] == phi
+    path = tmp_path / "psi12.cong"
+    path.write_text(f"mod {psi12}: x1 + x2 = 0\ngcd(x1, {psi12}) = 1\ngcd(x2, {psi12}) = 1\n")
+    assert run_json(capsys, "count", str(path))["count"] == phi
+    path.write_text(f"field GF({psi12})\nmod t: x1 = 0\n")
+    code, out, err = run(capsys, "count", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"line 1, column 10: field order {psi12} is not prime\n"
+        f"  field GF({psi12})\n" + " " * 11 + "^\n"
+    )
+
+
 def test_verify_integer_system(capsys):
     payload = run_json(capsys, "verify", sample("int_system_12_35.cong"))
     assert payload["agreement"] is True

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from congruences import (
     nary_gcd,
     nary_lcm,
 )
+from congruences.intarith import _strong_lucas_probable_prime
 from oracle_utils import ref_divisors, ref_factor, ref_mobius, ref_phi
 
 
@@ -64,6 +66,43 @@ def test_is_probable_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
         assert is_probable_prime(n) == (n in primes)
+
+
+# psi_12 and psi_13: the least strong pseudoprimes to all prime bases up to
+# 37 and up to 41 respectively.
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
+def test_is_probable_prime_past_the_witness_bound():
+    assert not sympy.isprime(PSI_12) and not sympy.isprime(PSI_13)
+    assert not is_probable_prime(PSI_12)
+    assert not is_probable_prime(PSI_13)
+    for prime in (399165290221, 798330580441, 1287836182261, 2575672364521):
+        assert is_probable_prime(prime)
+    for e in (89, 107, 127, 521):
+        assert is_probable_prime(2**e - 1)
+        assert not is_probable_prime(2**e + 1)
+    rng = random.Random(79)
+    for _ in range(2000):
+        n = rng.randrange(PSI_12, 10**40)
+        assert is_probable_prime(n) == sympy.isprime(n)
+
+
+def test_strong_lucas_pseudoprimes():
+    # The strong Lucas test with Selfridge's parameters passes every prime and,
+    # below 60000, exactly these composites (OEIS A217255).
+    passed = []
+    for n in range(41, 60000, 2):
+        if any(n % p == 0 for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+            continue
+        if _strong_lucas_probable_prime(n):
+            passed.append(n)
+        else:
+            assert not sympy.isprime(n)
+    assert [n for n in passed if not sympy.isprime(n)] == [
+        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519
+    ]
 
 
 def test_divisors_examples():

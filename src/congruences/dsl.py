@@ -12,10 +12,11 @@ Grammar (EBNF):
     variable    := "x" digits
 
 Without a header every expr is an integer literal; with "field GF(p)" every
-expr is a polynomial in t (terms c, t, c*t^k, t^k joined by + and -, with an
-optional leading -), and a coefficient may additionally be a parenthesized
-polynomial. "#" starts a comment to end of line; whitespace is otherwise
-insignificant. Parsing stops at the first error, reported with its position.
+expr is a polynomial in t (terms c, t, c*t^k, t^k with k at most 10^6, joined
+by + and -, with an optional leading -), and a coefficient may additionally be
+a parenthesized polynomial. "#" starts a comment to end of line; whitespace
+is otherwise insignificant. Parsing stops at the first error, reported with
+its position.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from .systems import INT, CongruenceSystem, IntRing, RestrictionTable
 
 _VARIABLE_RE = re.compile(r"x\d+")
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+|[()+\-*^:,=]")
+# Largest exponent of t in a polynomial term; a term allocates one list entry
+# per power of t up to its exponent.
+_MAX_EXPONENT = 10**6
 
 
 @dataclass(frozen=True)
@@ -211,7 +215,10 @@ class _Parser:
             self._fail("expected a polynomial term")
         if power == 1 and self._at_sym("^"):
             self._advance()
+            exponent_tok = self._tok()
             power = self._int_literal("an integer exponent")
+            if power > _MAX_EXPONENT:
+                self._fail(f"exponent exceeds the limit {_MAX_EXPONENT}", exponent_tok)
         coeffs = [0] * power + [coeff]
         return GFPolynomial.from_coeffs(self.field, coeffs)
 

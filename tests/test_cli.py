@@ -11,6 +11,7 @@ import pytest
 import congruences.cli as cli_module
 from congruences import CountReport, GFPolynomial, PrimeField, format_poly
 from congruences.cli import run_cli
+from congruences.dsl import _MAX_EXPONENT
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 SAMPLES_DIR = Path(__file__).resolve().parent.parent / "samples"
@@ -196,6 +197,21 @@ def test_strong_pseudoprime_psi12_is_composite(capsys, tmp_path):
         f"line 1, column 10: field order {psi12} is not prime\n"
         f"  field GF({psi12})\n" + " " * 11 + "^\n"
     )
+
+
+def test_polynomial_exponent_limit(capsys, tmp_path):
+    path = tmp_path / "high_degree.cong"
+    for exponent in (_MAX_EXPONENT + 1, 10**30):
+        path.write_text(f"field GF(2)\nmod t^{exponent}: x1 = 1\n")
+        code, out, err = run(capsys, "count", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"line 2, column 7: exponent exceeds the limit {_MAX_EXPONENT}\n"
+            f"  mod t^{exponent}: x1 = 1\n" + " " * 8 + "^\n"
+        )
+        code, out, err = run(capsys, "phi", "2", f"t^{exponent}")
+        assert (code, out) == (1, "")
+        assert f"exponent exceeds the limit {_MAX_EXPONENT}" in err
 
 
 def test_verify_integer_system(capsys):

@@ -22,6 +22,7 @@ from congruences import (
     pow_mod,
     residues,
 )
+from congruences.dsl import _MAX_EXPONENT
 
 PRIMES = (2, 3, 5, 7)
 
@@ -315,6 +316,14 @@ def test_parse_poly_errors():
     for bad in ("", "t*", "x", "2*x", "t^", "3 4", "+", "t^-1", "2**t", "t # 1"):
         with pytest.raises(ValueError):
             parse_poly(bad, field)
+
+
+def test_parse_poly_exponent_limit():
+    field = PrimeField(2)
+    for exponent in (_MAX_EXPONENT + 1, 10**30):
+        with pytest.raises(ValueError, match=f"exponent exceeds the limit {_MAX_EXPONENT}"):
+            parse_poly(f"1 + t^{exponent}", field)
+    assert parse_poly(f"t^{_MAX_EXPONENT} + 1", field).degree == _MAX_EXPONENT
 
 
 def test_format_poly_examples():

@@ -31,6 +31,7 @@ from .gfpoly import (
 from .report import CountReport
 from .systems import (
     DEFAULT_ENUMERATION_CAP,
+    _POLY_TABLE_LIMIT,
     RestrictionTable,
     _crt,
     _e_value,
@@ -290,11 +291,18 @@ def enumerate_solutions_ff(
     """Exhaustively scan residue tuples modulo H = lcm(moduli); the oracle.
 
     Returns (count, solutions) with solutions listed in base-p code order per
-    variable when there are at most 1000, else None.
+    variable when there are at most 1000, else None. Raises CapExceededError
+    past cap tuples or past 10^6 entries in the tables it builds.
     """
     field = system.field
     big_h, size = _scan_modulus(system, cap)
     n = system.n
+    triples = _restriction_triples(system, restrictions)
+    entries = size * (1 + system.k * n + len(triples))
+    if entries > _POLY_TABLE_LIMIT:
+        raise CapExceededError(
+            f"oracle tables of {entries} entries exceed the limit {_POLY_TABLE_LIMIT}"
+        )
     pool = residues(field, big_h.degree)
     p = field.p
 
@@ -310,10 +318,7 @@ def enumerate_solutions_ff(
         ]
         rows.append((contribs, pad(b_i % h_i)))
 
-    checks = [
-        (j, [poly_gcd(x, h_i) == t_ij for x in pool])
-        for j, h_i, t_ij in _restriction_triples(system, restrictions)
-    ]
+    checks = [(j, [poly_gcd(x, h_i) == t_ij for x in pool]) for j, h_i, t_ij in triples]
 
     count = 0
     hits: list[tuple[int, ...]] | None = []

@@ -30,6 +30,11 @@ DEFAULT_ENUMERATION_CAP = 10**8
 # (products stay below 2**63 after per-step reduction).
 _NUMPY_MODULUS_LIMIT = 3 * 10**9
 
+# Most table entries the F_p[t] oracle builds before it scans: one per residue
+# for the residue list, for each coefficient and for each gcd restriction.
+# Each takes about 250 bytes.
+_POLY_TABLE_LIMIT = 10**6
+
 
 class IntRing:
     """Z as the counting formulas see it.

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -409,6 +410,24 @@ def test_oracle_cap_with_huge_tuple_counts(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert "exceeds cap" in err
+
+
+def test_polynomial_oracle_table_limit(capsys, tmp_path):
+    # 2^19 and 2^26 tuples are within the tuple cap, but the residue and
+    # coefficient tables would hold 2^20 and 2^27 entries.
+    path = tmp_path / "wide_poly.cong"
+    for degree in (19, 26):
+        path.write_text(f"field GF(2)\nmod t^{degree}: x1 = 1\n")
+        start = time.perf_counter()
+        payload = run_json(capsys, "verify", str(path))
+        assert time.perf_counter() - start < 10
+        assert payload["agreement"] is True
+        assert payload["methods"]["oracle"]["skipped"] == (
+            f"oracle tables of {2 ** (degree + 1)} entries exceed the limit 1000000"
+        )
+        code, out, err = run(capsys, "enumerate", str(path))
+        assert (code, out) == (2, "")
+        assert "exceed the limit 1000000" in err
 
 
 @pytest.mark.skipif(

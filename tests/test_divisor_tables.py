@@ -2,8 +2,9 @@
 
 The library builds each table prime by prime from the sums' local values.
 The reference here evaluates every row directly, one Ramanujan (eta) divisor
-sum per divisor and column, as the formula reads. The systems reach tau(m) = 4096 and H with five irreducible
-factors, beyond the brute-force oracle's reach.
+sum per divisor and column, as the formula reads. The systems reach
+tau(m) = 4096 and H with five irreducible factors, beyond the brute-force
+oracle's reach.
 """
 
 import math

@@ -152,8 +152,7 @@ def test_eta_triple_agreement_random_larger():
             for _ in range(e - 1):
                 h = h * irreducible
             for j in range(e + 2):
-                unit = random_poly(rng, PrimeField(p), rng.randrange(0, 2))
-                g = unit
+                g = random_poly(rng, PrimeField(p), rng.randrange(0, 2))
                 for _ in range(j):
                     g = g * irreducible
                 assert eta(g, h) == eta_closed_form(g, h)

@@ -22,13 +22,13 @@ from .dsl import (
     parse_poly,
     parse_system,
 )
-from .errors import CapExceededError, HypothesisError, UnsupportedShapeError
+from .errors import CapExceededError, HypothesisError
 from .ffsystems import eta
 from .gfpoly import GFPolynomial, PrimeField, format_poly, phi_poly
 from .intarith import euler_phi
 from .ramanujan import ramanujan_c
 from .report import CountReport
-from .snf import butson_stewart_count, lift_to_common_modulus, smith_normal_form
+from .snf import butson_stewart_count
 from .systems import (
     CongruenceSystem,
     DEFAULT_ENUMERATION_CAP,
@@ -206,24 +206,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = _formula_report(system, table)
         methods["formula"] = {"count": _decimal(report.count), "theorem": report.theorem}
         counts.append(report.count)
-    except (HypothesisError, UnsupportedShapeError) as exc:
+    except HypothesisError as exc:
         methods["formula"] = {"skipped": str(exc)}
 
     if _is_integer(system):
         if table is not None:
             methods["snf"] = {"skipped": "restrictions present"}
         else:
-            try:
-                snf_report = butson_stewart_count(system)
-                methods["snf"] = {
-                    "count": _decimal(snf_report.count),
-                    "invariant_factors": [
-                        _decimal(e) for e in snf_report.details["invariant_factors"]
-                    ],
-                }
-                counts.append(snf_report.count)
-            except UnsupportedShapeError as exc:
-                methods["snf"] = {"skipped": str(exc)}
+            snf_report = butson_stewart_count(system)
+            methods["snf"] = {
+                "count": _decimal(snf_report.count),
+                "invariant_factors": [
+                    _decimal(e) for e in snf_report.details["invariant_factors"]
+                ],
+            }
+            counts.append(snf_report.count)
 
     try:
         count, _ = system.ring.oracle(system, table, args.cap)
@@ -242,14 +239,12 @@ def _cmd_snf(args: argparse.Namespace) -> int:
     system = build_system(doc)
     if not _is_integer(system):
         raise _UsageError("snf applies to integer systems only")
-    matrix, _, modulus = lift_to_common_modulus(system)
-    result = smith_normal_form(matrix)
     report = butson_stewart_count(system)
     _emit(
         {
             "schema": SCHEMA,
-            "modulus": _decimal(modulus),
-            "invariant_factors": [_decimal(e) for e in result.invariant_factors],
+            "modulus": _decimal(report.details["modulus"]),
+            "invariant_factors": [_decimal(e) for e in report.details["invariant_factors"]],
             "count": _decimal(report.count),
             "solvable": report.solvable,
         }
@@ -370,7 +365,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (HypothesisError, UnsupportedShapeError, CapExceededError) as exc:
+    except (HypothesisError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

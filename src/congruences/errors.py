@@ -13,8 +13,8 @@ class HypothesisError(CongruenceError):
 
 
 class UnsupportedShapeError(CongruenceError):
-    """The lifted system has more rows than variables, or is rank-deficient,
-    so the invariant-factor count does not apply."""
+    """Kept as a public name only: the library no longer raises it, since the
+    invariant-factor count covers every shape of lifted system."""
 
 
 class CapExceededError(CongruenceError):

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import UnsupportedShapeError
 from .intarith import nary_lcm
 from .report import CountReport
 from .systems import CongruenceSystem
@@ -32,13 +31,17 @@ class SnfResult:
     transforms: tuple[Matrix, Matrix]
 
     def __post_init__(self) -> None:
-        if any(e <= 0 for e in self.invariant_factors):
-            raise ValueError("invariant factors must be positive")
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
-            if b % a:
-                raise ValueError("invariant factors must form a divisibility chain")
+        _check_chain(self.invariant_factors)
         if self.rank != len(self.invariant_factors):
             raise ValueError("rank must equal the number of invariant factors")
+
+
+def _check_chain(factors: Sequence[int]) -> None:
+    if any(e <= 0 for e in factors):
+        raise ValueError("invariant factors must be positive")
+    for a, b in zip(factors, factors[1:]):
+        if b % a:
+            raise ValueError("invariant factors must form a divisibility chain")
 
 
 def lift_to_common_modulus(
@@ -55,6 +58,77 @@ def lift_to_common_modulus(
     return tuple(matrix), tuple(rhs), m
 
 
+def _diagonalize(a: list[list[int]], rows: list[list[int]], cols: list[list[int]]) -> list[int]:
+    """Reduce a in place to Smith form; return its positive diagonal.
+
+    Every row operation on a is also made on the rows of rows (k of them),
+    every column operation on the columns of cols (rows of length n).
+    """
+    k, n = len(a), len(a[0])
+
+    def swap_rows(i1, i2):
+        for mat in (a, rows):
+            mat[i1], mat[i2] = mat[i2], mat[i1]
+
+    def swap_cols(j1, j2):
+        for mat in (a, cols):
+            for row in mat:
+                row[j1], row[j2] = row[j2], row[j1]
+
+    def add_row(dst, src, q):
+        # row dst += q * row src
+        for mat in (a, rows):
+            mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
+
+    def add_col(dst, src, q):
+        for mat in (a, cols):
+            for row in mat:
+                row[dst] += q * row[src]
+
+    def negate_row(i):
+        for mat in (a, rows):
+            mat[i] = [-x for x in mat[i]]
+
+    t = 0
+    while t < min(k, n):
+        # Deterministic pivot: minimal |value| among nonzero entries, first by
+        # position on ties.
+        pivot = min(
+            ((abs(a[i][j]), i, j) for i in range(t, k) for j in range(t, n) if a[i][j]),
+            default=None,
+        )
+        if pivot is None:
+            break
+        swap_rows(t, pivot[1])
+        swap_cols(t, pivot[2])
+        while True:
+            if a[t][t] < 0:
+                negate_row(t)
+            p = a[t][t]
+            for i in range(t + 1, k):
+                if a[i][t]:
+                    add_row(i, t, -(a[i][t] // p))
+            i = next((i for i in range(t + 1, k) if a[i][t]), None)
+            if i is not None:
+                swap_rows(t, i)
+                continue
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    add_col(j, t, -(a[t][j] // p))
+            j = next((j for j in range(t + 1, n) if a[t][j]), None)
+            if j is not None:
+                swap_cols(t, j)
+                continue
+            # Pivot must divide everything that remains, so later factors
+            # stay multiples of earlier ones.
+            i = next((i for i in range(t + 1, k) if any(x % p for x in a[i][t + 1 :])), None)
+            if i is None:
+                break
+            add_row(t, i, 1)
+        t += 1
+    return [a[i][i] for i in range(t)]
+
+
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
     """Smith normal form of an integer matrix, with its transforms."""
     k = len(matrix)
@@ -63,97 +137,11 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
         raise ValueError("matrix must be nonempty")
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix rows must have equal length")
-
-    a = [list(map(int, row)) for row in matrix]
     u = [[int(i == j) for j in range(k)] for i in range(k)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i1, i2):
-        a[i1], a[i2] = a[i2], a[i1]
-        u[i1], u[i2] = u[i2], u[i1]
-
-    def swap_cols(j1, j2):
-        for row in a:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in v:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    def add_row(dst, src, q):
-        # row dst += q * row src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    limit = min(k, n)
-    while t < limit:
-        # Deterministic pivot: minimal |value| among nonzero entries, first by
-        # position on ties.
-        pivot = None
-        best = None
-        for i in range(t, k):
-            for j in range(t, n):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            if a[t][t] < 0:
-                negate_row(t)
-            p = a[t][t]
-            moved = False
-            for i in range(t + 1, k):
-                if a[i][t]:
-                    add_row(i, t, -(a[i][t] // p))
-            for i in range(t + 1, k):
-                if a[i][t]:
-                    swap_rows(t, i)
-                    moved = True
-                    break
-            if moved:
-                continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    add_col(j, t, -(a[t][j] // p))
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    swap_cols(t, j)
-                    moved = True
-                    break
-            if moved:
-                continue
-            # Pivot must divide everything that remains, so later factors
-            # stay multiples of earlier ones.
-            offender = None
-            for i in range(t + 1, k):
-                for j in range(t + 1, n):
-                    if a[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-        t += 1
-
-    diag = [a[i][i] for i in range(limit)]
-    factors = tuple(d for d in diag if d)
+    factors = _diagonalize([list(map(int, row)) for row in matrix], u, v)
     return SnfResult(
-        invariant_factors=factors,
+        invariant_factors=tuple(factors),
         rank=len(factors),
         transforms=(tuple(map(tuple, u)), tuple(map(tuple, v))),
     )
@@ -162,36 +150,31 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
 def butson_stewart_count(system: CongruenceSystem) -> CountReport:
     """Invariant-factor count of solutions modulo m = lcm(moduli).
 
-    Lift every row to the common modulus, diagonalize, and multiply the
-    gcd(e_i, m); solvable iff each gcd divides the transformed rhs entry.
-    Requires k <= n and a full-row-rank lifted matrix.
+    Lift every row to the common modulus and diagonalize, U A V =
+    diag(e_1, ..., e_r), carrying the rhs b through the row operations. The
+    system is solvable iff gcd(e_i, m) divides (U b)_i for i <= r and
+    (U b)_i = 0 mod m for i > r; then the count is the product of the
+    gcd(e_i, m) times m^(n - r). Any shape: k > n and rank-deficient lifted
+    matrices included.
     """
-    k, n = system.k, system.n
-    if k > n:
-        raise UnsupportedShapeError("more congruences than variables")
     matrix, rhs, m = lift_to_common_modulus(system)
-    snf = smith_normal_form(matrix)
-    if snf.rank < k:
-        raise UnsupportedShapeError("lifted matrix is rank-deficient")
-    u = snf.transforms[0]
-    transformed = [sum(u_ij * b_j for u_ij, b_j in zip(row, rhs)) for row in u]
-    factor_gcds = []
-    solvable = True
-    count = 1
-    for e_i, c_i in zip(snf.invariant_factors, transformed):
-        g = math.gcd(e_i, m)
-        factor_gcds.append(g)
-        if c_i % g:
-            solvable = False
-        count *= g
-    count = count * m ** (n - k) if solvable else 0
+    carried = [[b_i] for b_i in rhs]
+    factors = _diagonalize([list(row) for row in matrix], carried, [])
+    _check_chain(factors)
+    transformed = [c for (c,) in carried]
+    factor_gcds = [math.gcd(e_i, m) for e_i in factors]
+    r = len(factors)
+    solvable = all(c % g == 0 for c, g in zip(transformed, factor_gcds)) and all(
+        c % m == 0 for c in transformed[r:]
+    )
+    count = math.prod(factor_gcds) * m ** (system.n - r) if solvable else 0
     return CountReport(
         count=count,
         solvable=solvable,
         theorem="butson_stewart",
         details={
             "modulus": m,
-            "invariant_factors": list(snf.invariant_factors),
+            "invariant_factors": factors,
             "transformed_rhs": [c % m for c in transformed],
             "factor_gcds": factor_gcds,
         },

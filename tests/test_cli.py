@@ -131,6 +131,29 @@ def test_snf_subcommand(capsys):
     assert payload["solvable"] is True
 
 
+def test_snf_and_verify_on_every_shape(capsys, tmp_path):
+    # More congruences than variables (coprime moduli, so the formula
+    # applies too), and a rank-1 lifted matrix with non-coprime moduli.
+    cases = [
+        ("mod 4: x1 = 1\nmod 9: 2*x1 = 4\n", "36", ["1"], "1"),
+        ("mod 6: x1 + x2 = 1\nmod 4: 2*x1 + 2*x2 = 2\n", "12", ["2"], "24"),
+    ]
+    for text, modulus, factors, count in cases:
+        path = tmp_path / "shape.cong"
+        path.write_text(text)
+        snf = run_json(capsys, "snf", str(path))
+        assert snf["modulus"] == modulus
+        assert snf["invariant_factors"] == factors
+        assert snf["count"] == count
+        assert snf["solvable"] is True
+        oracle = run_json(capsys, "enumerate", str(path))
+        assert oracle["count"] == count
+        verify = run_json(capsys, "verify", str(path))
+        assert verify["agreement"] is True
+        assert verify["methods"]["snf"] == {"count": count, "invariant_factors": factors}
+        assert verify["methods"]["oracle"] == {"count": count}
+
+
 def test_snf_rejects_polynomial_input(capsys):
     code, _, err = run(capsys, "snf", sample("poly_t4_gf3.cong"))
     assert code == 1

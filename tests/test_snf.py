@@ -7,7 +7,6 @@ import pytest
 
 from congruences import (
     CongruenceSystem,
-    UnsupportedShapeError,
     butson_stewart_count,
     enumerate_solutions,
     lift_to_common_modulus,
@@ -143,46 +142,50 @@ def test_butson_stewart_agrees_with_coprime_formula():
             tuple(moduli),
             tuple(rng.randrange(50) for _ in range(k)),
         )
-        try:
-            via_snf = butson_stewart_count(system)
-        except UnsupportedShapeError:
-            continue
+        via_snf = butson_stewart_count(system)
         assert via_snf.count == system_count(system).count
         checked += 1
 
 
 def test_butson_stewart_vs_enumeration_non_coprime():
+    # Any shape: k up to 4 rows over n <= 3 variables, some rows repeated.
     rng = random.Random(43)
-    checked = 0
-    while checked < 120:
-        k = rng.randrange(1, 3)
-        n = rng.randrange(k, 4)
+    checked = new_shapes = 0
+    while checked < 200:
+        k = rng.randrange(1, 5)
+        n = rng.randrange(1, 4)
         moduli = tuple(rng.randrange(2, 13) for _ in range(k))
         if math.lcm(*moduli) ** n > 3 * 10**5:
             continue
+        rows = []
+        for _ in range(k):
+            if rows and rng.random() < 0.3:
+                rows.append(rng.choice(rows))
+            else:
+                rows.append(tuple(rng.randrange(-12, 13) for _ in range(n)))
         system = CongruenceSystem(
-            tuple(
-                tuple(rng.randrange(-12, 13) for _ in range(n)) for _ in range(k)
-            ),
-            moduli,
-            tuple(rng.randrange(-12, 13) for _ in range(k)),
+            tuple(rows), moduli, tuple(rng.randrange(-12, 13) for _ in range(k))
         )
-        try:
-            via_snf = butson_stewart_count(system)
-        except UnsupportedShapeError:
-            continue
+        via_snf = butson_stewart_count(system)
         count, _ = enumerate_solutions(system)
-        assert via_snf.count == count
+        assert via_snf.count == count, system
+        new_shapes += k > n or len(via_snf.details["factor_gcds"]) < k
         checked += 1
+    assert new_shapes >= 100
 
 
-def test_butson_stewart_guards():
-    overdetermined = CongruenceSystem(((1,), (1,)), (2, 3), (0, 0))
-    with pytest.raises(UnsupportedShapeError):
-        butson_stewart_count(overdetermined)
-    deficient = CongruenceSystem(((0, 0), (1, 1)), (2, 3), (0, 0))
-    with pytest.raises(UnsupportedShapeError):
-        butson_stewart_count(deficient)
-    duplicate_rows = CongruenceSystem(((1, 1), (1, 1)), (2, 2), (0, 0))
-    with pytest.raises(UnsupportedShapeError):
-        butson_stewart_count(duplicate_rows)
+def test_butson_stewart_every_shape():
+    # Solvable and unsolvable cases of an overdetermined system, a
+    # rank-deficient one and one with duplicate rows.
+    systems = [
+        CongruenceSystem(((1,), (1,)), (2, 3), (0, 0)),
+        CongruenceSystem(((1,), (1,)), (2, 3), (1, 2)),
+        CongruenceSystem(((2,), (3,)), (4, 6), (1, 0)),
+        CongruenceSystem(((0, 0), (1, 1)), (2, 3), (0, 0)),
+        CongruenceSystem(((0, 0), (1, 1)), (2, 3), (1, 0)),
+        CongruenceSystem(((1, 1), (1, 1)), (2, 2), (0, 0)),
+        CongruenceSystem(((1, 1), (1, 1)), (2, 2), (0, 1)),
+    ]
+    counts = [butson_stewart_count(system).count for system in systems]
+    assert counts == [enumerate_solutions(system)[0] for system in systems]
+    assert counts == [1, 1, 0, 12, 0, 2, 0]

@@ -36,6 +36,9 @@ _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+|[()+\-*^:,=]")
 # Largest exponent of t in a polynomial term; a term allocates one list entry
 # per power of t up to its exponent.
 _MAX_EXPONENT = 10**6
+# Longest run of digits in an integer literal or a variable name: Python's
+# default limit on int/str conversion, which int() would otherwise raise on.
+_MAX_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -129,11 +132,15 @@ def _tokenize(text: str) -> tuple[list[Token], list[str]]:
                 )
             word = match.group()
             if word[0].isdigit():
-                kind = "int"
+                kind, digits = "int", len(word)
             elif word[0].isalpha() or word[0] == "_":
-                kind = "ident"
+                kind, digits = "ident", len(word) - len(word.rstrip("0123456789"))
             else:
-                kind = "sym"
+                kind, digits = "sym", 0
+            if digits > _MAX_DIGITS:
+                column = pos + len(word) - digits + 1
+                message = f"a number of {digits} digits exceeds the limit {_MAX_DIGITS}"
+                raise ParseError(Diagnostic(message, lineno, column, line))
             tokens.append(Token(kind, word, lineno, pos + 1))
             pos = match.end()
     tokens.append(Token("eof", "", len(lines), len(lines[-1]) + 1))

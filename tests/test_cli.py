@@ -458,11 +458,21 @@ def test_polynomial_oracle_table_limit(capsys, tmp_path):
 )
 def test_digit_cap_still_guards_parsing(capsys, tmp_path):
     path = tmp_path / "long_literal.cong"
-    path.write_text("mod 1" + "0" * 5000 + ": x1 = 1\n")
-    code, out, err = run(capsys, "count", str(path))
-    assert code == 1
-    assert out == ""
-    assert "Exceeds the limit" in err
+    digits = "1" + "0" * 5000
+    message = "a number of 5001 digits exceeds the limit 4300"
+    for text, line, column in (
+        (f"mod {digits}: x1 = 1\n", 1, 5),
+        (f"mod 7: x{digits} = 1\n", 1, 9),
+        (f"field GF(3)\nmod t^2: {digits}*x1 = 1\n", 2, 10),
+    ):
+        path.write_text(text)
+        code, out, err = run(capsys, "count", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"line {line}, column {column}: {message}\n"), err[:200]
+        assert err.endswith("\n  " + " " * (column - 1) + "^\n")
+    # 4300 digits still parse.
+    path.write_text(f"mod 7: {'1' * 4300}*x1 = 1\n")
+    assert run_json(capsys, "count", str(path))["count"] == "1"
 
 
 def test_module_runs_as_script():

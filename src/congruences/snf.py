@@ -59,10 +59,11 @@ def lift_to_common_modulus(
 
 
 def _diagonalize(a: list[list[int]], rows: list[list[int]], cols: list[list[int]]) -> list[int]:
-    """Reduce a in place to Smith form; return its positive diagonal.
+    """Reduce the k x n matrix a in place to Smith form; return its positive
+    diagonal e_1 | ... | e_r.
 
-    Every row operation on a is also made on the rows of rows (k of them),
-    every column operation on the columns of cols (rows of length n).
+    Each row operation on a is repeated on the k rows of `rows`, and each
+    column operation on the n columns of `cols` (a list of rows of length n).
     """
     k, n = len(a), len(a[0])
 

@@ -11,7 +11,7 @@ and `_ff` functions and `crt_poly` are entry points over the shared formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain
 from typing import Sequence
 
 from .errors import CapExceededError, ExactnessError
@@ -39,6 +39,7 @@ from .systems import (
     _ramanujan_divisor_sum,
     _ramanujan_sum,
     _restriction_triples,
+    _scan,
     _scan_modulus,
     _single_restricted,
     _SystemRows,
@@ -303,49 +304,35 @@ def enumerate_solutions_ff(
         raise CapExceededError(
             f"oracle tables of {entries} entries exceed the limit {_POLY_TABLE_LIMIT}"
         )
+    import numpy as np
+
     pool = residues(field, big_h.degree)
     p = field.p
+    dtype = np.min_scalar_type(n * (p - 1))  # holds a sum of n coefficients
+
+    def table(polys, width: int):
+        """Row w < width: the coefficients of t^w of the polynomials, in order."""
+        zeros = (0,) * width
+        flat = chain.from_iterable((f.coefficients + zeros)[:width] for f in polys)
+        return np.fromiter(flat, dtype).reshape(-1, width).T.copy()
 
     rows = []
     for row, b_i, h_i in zip(system.coefficients, system.rhs, system.moduli):
-        width = h_i.degree
+        tables = [table(((a_ij * x) % h_i for x in pool), h_i.degree) for a_ij in row]
+        rows.append((tables, table([b_i % h_i], h_i.degree)[:, 0]))
+    checks = [
+        (j, np.fromiter((poly_gcd(x, h) == t for x in pool), bool)) for j, h, t in triples
+    ]
 
-        def pad(poly: GFPolynomial, w: int = width) -> tuple[int, ...]:
-            return poly.coefficients + (0,) * (w - len(poly.coefficients))
+    def passes(codes: list):
+        mask = np.ones(codes[0].shape, dtype=bool)
+        for tables, target in rows:
+            acc = sum(t.take(c, axis=1) for t, c in zip(tables, codes)) % p
+            for acc_w, b_w in zip(acc, target):
+                mask &= acc_w == b_w
+        for j, allowed in checks:
+            mask &= allowed.take(codes[j])
+        return mask
 
-        contribs = [
-            [pad((a_ij * x) % h_i) for x in pool] for a_ij in row
-        ]
-        rows.append((contribs, pad(b_i % h_i)))
-
-    checks = [(j, [poly_gcd(x, h_i) == t_ij for x in pool]) for j, h_i, t_ij in triples]
-
-    count = 0
-    hits: list[tuple[int, ...]] | None = []
-    for codes in product(range(size), repeat=n):
-        ok = True
-        for contribs, target in rows:
-            width = len(target)
-            acc = [0] * width
-            for j in range(n):
-                term = contribs[j][codes[j]]
-                for w in range(width):
-                    acc[w] += term[w]
-            if tuple(c % p for c in acc) != target:
-                ok = False
-                break
-        if ok:
-            for j, allowed in checks:
-                if not allowed[codes[j]]:
-                    ok = False
-                    break
-        if ok:
-            count += 1
-            if hits is not None:
-                if count <= 1000:
-                    hits.append(codes)
-                else:
-                    hits = None
-    if hits is None:
-        return count, None
-    return count, [tuple(pool[c] for c in codes) for codes in hits]
+    count, hits = _scan(size, n, passes)
+    return count, None if hits is None else [tuple(pool[c] for c in codes) for codes in hits]

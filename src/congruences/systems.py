@@ -7,7 +7,7 @@ carries its ring, so every formula here serves both (single congruence gcd
 test, coprime systems, gcd-restricted systems via Ramanujan sums). So do
 the character sums beneath them: the Ramanujan sum by its local product and
 by its divisor sum, and the E (I) and J functions.
-Enumeration over Z is an independent exhaustive oracle over residue tuples.
+Enumeration is one independent exhaustive oracle for both rings (`_scan`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .errors import CapExceededError, ExactnessError, HypothesisError
 from .intarith import divisors, euler_phi, factorize, mobius, nary_gcd, nary_lcm
@@ -31,9 +31,13 @@ DEFAULT_ENUMERATION_CAP = 10**8
 _NUMPY_MODULUS_LIMIT = 3 * 10**9
 
 # Most table entries the F_p[t] oracle builds before it scans: one per residue
-# for the residue list, for each coefficient and for each gcd restriction.
-# Each takes about 250 bytes.
+# for the residue list, each coefficient and each gcd restriction. Each entry
+# is a polynomial product or gcd in Python, so this bounds that Python work.
 _POLY_TABLE_LIMIT = 10**6
+
+# Tuples per block of the oracle scan. Larger blocks are no faster, and their
+# freed arrays raise glibc's mmap threshold, so later ones stay in the heap.
+_SCAN_BLOCK = 1 << 16
 
 
 class IntRing:
@@ -551,6 +555,28 @@ def _restriction_triples(system, restrictions: RestrictionTable | None) -> list[
     return out
 
 
+def _scan(size: int, n: int, passes: Callable) -> tuple[int, list[tuple[int, ...]] | None]:
+    """(count, hits) of the tuples of [0, size)^n that `passes` accepts.
+
+    Walks the tuples in lexicographic order, _SCAN_BLOCK at a time; `passes`
+    maps a block's n per-variable code arrays to a boolean mask. hits lists
+    the accepted tuples in order when there are at most 1000, else is None.
+    """
+    import numpy as np
+
+    total = size**n
+    count = 0
+    hits: list[tuple[int, ...]] | None = []
+    for start in range(0, total, _SCAN_BLOCK):
+        codes = np.unravel_index(np.arange(start, min(start + _SCAN_BLOCK, total)), (size,) * n)
+        mask = passes(codes)
+        found = int(np.count_nonzero(mask))
+        count += found
+        if hits is not None and found:
+            hits = hits + list(zip(*(c[mask].tolist() for c in codes))) if count <= 1000 else None
+    return count, hits
+
+
 def enumerate_solutions(
     system: CongruenceSystem,
     restrictions: RestrictionTable | None = None,
@@ -573,33 +599,17 @@ def enumerate_solutions(
         (tuple(a % m_i for a in row), m_i, b_i % m_i)
         for row, m_i, b_i in zip(system.coefficients, system.moduli, system.rhs)
     ]
-    n = system.n
-    block = 1 << 20
-    total = m**n
-    pows = [m ** (n - 1 - j) for j in range(n)]
-    count = 0
-    hits: list[int] | None = []
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        coords = [(idx // p) % m for p in pows]
-        mask = np.ones(idx.shape, dtype=bool)
+
+    def passes(coords: list) -> Any:
+        mask = np.ones(coords[0].shape, dtype=bool)
         for row, m_i, b_i in rows:
-            acc = np.zeros(idx.shape, dtype=np.int64)
+            acc = np.zeros(coords[0].shape, dtype=np.int64)
             for a_ij, x_j in zip(row, coords):
                 if a_ij:
                     acc = (acc + a_ij * (x_j % m_i)) % m_i
             mask &= acc == b_i
         for j, m_i, t_ij in triples:
             mask &= np.gcd(coords[j], m_i) == t_ij
-        found = int(mask.sum())
-        count += found
-        if hits is not None and found:
-            if count <= 1000:
-                hits.extend(int(f) for f in idx[mask])
-            else:
-                hits = None
-    if hits is None:
-        return count, None
-    solutions = [tuple((f // p) % m for p in pows) for f in hits]
-    return count, solutions
+        return mask
+
+    return _scan(m, system.n, passes)

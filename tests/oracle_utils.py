@@ -116,19 +116,21 @@ def brute_sum_restricted(m: int, b: int, t: tuple[int, ...]) -> int:
 
 def brute_count_ff(
     system: PolyCongruenceSystem, table: PolyRestrictionTable | None = None
-) -> int:
+) -> tuple[int, list[tuple[GFPolynomial, ...]]]:
     """Naive polynomial scan over residues modulo the lcm of the moduli."""
     from congruences.gfpoly import poly_lcm_many
 
     big_h = poly_lcm_many(system.moduli)
+    zero = GFPolynomial.zero(system.field)
     count = 0
+    sols = []
     for xs in product(residues(system.field, big_h.degree), repeat=system.n):
         ok = True
         for row, h_i, b_i in zip(system.coefficients, system.moduli, system.rhs):
-            acc = GFPolynomial.zero(system.field)
+            acc = zero
             for a, x in zip(row, xs):
                 acc = acc + a * x
-            if (acc - b_i) % h_i != GFPolynomial.zero(system.field):
+            if (acc - b_i) % h_i != zero:
                 ok = False
                 break
         if ok and table is not None and table.entries:
@@ -141,7 +143,8 @@ def brute_count_ff(
                     break
         if ok:
             count += 1
-    return count
+            sols.append(xs)
+    return count, sols
 
 
 def brute_sum_restricted_ff(

@@ -31,6 +31,8 @@ from congruences import (
     system_count_ff,
     tau,
 )
+from congruences.dsl import build_restrictions, build_system, parse_system
+from congruences.systems import _SCAN_BLOCK
 from oracle_utils import (
     brute_count_ff,
     brute_sum_restricted_ff,
@@ -450,6 +452,38 @@ def test_enumerate_ff_code_order_and_cap():
     ]
     with pytest.raises(CapExceededError):
         enumerate_solutions_ff(system, cap=1)
+
+
+_GCDS_7 = "".join(f"gcd(x{j}, t + 1) = {'t + 1' if j == 2 else 1}\n" for j in range(1, 8))
+# t^15 + ... + t + 1 has base-2 code 2^16 - 1: the last tuple of the first block.
+_LAST_OF_BLOCK = " + ".join(f"t^{w}" for w in range(15, 0, -1)) + " + 1"
+
+
+@pytest.mark.parametrize(
+    "text, hit_blocks",
+    [
+        (f"field GF(2)\nmod t^17: x1 = {_LAST_OF_BLOCK}\n", 1),
+        ("field GF(3)\nmod t^11: 2*x1 = t^10 + 1\n", 1),
+        ("field GF(5)\nmod t + 1: x1 + 2*x2 + 3*x3 + 4*x4 + x5 + x6 + x7 = 2\n" + _GCDS_7, 2),
+        ("field GF(7)\nmod t^3 + t: x1 + 2*x2 = 1\ngcd(x1, t^3 + t) = t\ngcd(x2, t^3 + t) = 1\n", 2),
+    ],
+    ids=["GF(2)", "GF(3)", "GF(5)", "GF(7)"],
+)
+def test_enumerate_ff_across_scan_blocks(text, hit_blocks):
+    doc = parse_system(text)
+    system, table = build_system(doc), build_restrictions(doc)
+    size = poly_lcm_many(system.moduli).norm()
+    assert size**system.n > _SCAN_BLOCK
+    count, sols = enumerate_solutions_ff(system, table)
+    brute, brute_sols = brute_count_ff(system, table)
+    assert (count, sols) == (brute, brute_sols if brute <= 1000 else None)
+
+    def index(sol) -> int:  # the solution's position in the scan
+        p = system.field.p
+        codes = [sum(c * p**w for w, c in enumerate(x.coefficients)) for x in sol]
+        return sum(c * size ** (system.n - 1 - j) for j, c in enumerate(codes))
+
+    assert len({index(sol) // _SCAN_BLOCK for sol in sols or []}) == hit_blocks
 
 
 def test_unit_row_scaling_invariance_ff():

@@ -19,6 +19,7 @@ from congruences import (
     single_restricted_count,
     system_count,
 )
+from congruences.systems import _SCAN_BLOCK
 from oracle_utils import brute_count_int, random_int_instance
 
 
@@ -285,6 +286,29 @@ def test_enumerate_matches_naive_scan():
         if sols is not None:
             assert sols == brute_sols
         checked += 1
+
+
+@pytest.mark.parametrize(
+    "system, table, hit_blocks",
+    [
+        # (218, 135), a solution, is tuple 2^16 - 1: the last of the first block.
+        (CongruenceSystem(((1, 1),), (300,), (53,)), None, 2),
+        (CongruenceSystem(((2, 4),), (600,), (6,)), None, 0),  # 1200 hits: not listed
+        (
+            CongruenceSystem(((1, 5), (2, 1)), (12, 35), (1, 3)),
+            RestrictionTable(((1, 2), (1, 1))),
+            3,
+        ),
+    ],
+)
+def test_enumerate_across_scan_blocks(system, table, hit_blocks):
+    m = math.lcm(*system.moduli)
+    assert m**system.n > _SCAN_BLOCK
+    count, sols = enumerate_solutions(system, table)
+    brute, brute_sols = brute_count_int(system, table)
+    assert (count, sols) == (brute, brute_sols if brute <= 1000 else None)
+    indices = [sum(x * m ** (system.n - 1 - j) for j, x in enumerate(sol)) for sol in sols or []]
+    assert len({i // _SCAN_BLOCK for i in indices}) == hit_blocks
 
 
 def test_enumerate_solution_list_behaviour():

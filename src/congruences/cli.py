@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .dsl import (
+    _MAX_DIGITS,
     ParseError,
     SystemDocument,
     build_restrictions,
@@ -49,6 +50,19 @@ class _Parser(argparse.ArgumentParser):
     # hypothesis violations, so route usage problems through exit code 1.
     def error(self, message: str):  # type: ignore[override]
         raise _UsageError(message)
+
+
+def _integer(text: str) -> int:
+    """An integer argument, held to the digit limit of the text format."""
+    digits = sum(c.isdigit() for c in text)
+    if digits > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"a number of {digits} digits exceeds the limit {_MAX_DIGITS}"
+        )
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -286,13 +300,13 @@ def _cmd_eta(args: argparse.Namespace) -> int:
 
 def _cmd_phi(args: argparse.Namespace) -> int:
     if len(args.values) == 1:
-        n = int(args.values[0])
+        n = _integer(args.values[0])
         if n < 1:
             raise _UsageError("phi expects a positive integer")
         _emit({"schema": SCHEMA, "value": _decimal(euler_phi(n))})
         return 0
     if len(args.values) == 2:
-        field = PrimeField(int(args.values[0]))
+        field = PrimeField(_integer(args.values[0]))
         h = parse_poly(args.values[1], field)
         _emit({"schema": SCHEMA, "value": _decimal(phi_poly(h))})
         return 0
@@ -312,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="exhaustive enumeration (the oracle)")
     with_file(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+    p.add_argument("--cap", type=_integer, default=DEFAULT_ENUMERATION_CAP,
                    help="largest tuple space to scan (default 10^8)")
     p.add_argument("--list", action="store_true",
                    help="include the solutions when there are at most 1000")
@@ -320,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run all applicable methods and compare")
     with_file(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+    p.add_argument("--cap", type=_integer, default=DEFAULT_ENUMERATION_CAP,
                    help="largest tuple space the oracle may scan")
     p.set_defaults(func=_cmd_verify)
 
@@ -333,12 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_crt)
 
     p = sub.add_parser("ramanujan", help="Ramanujan sum C_m(a)")
-    p.add_argument("m", type=int)
-    p.add_argument("a", type=int)
+    p.add_argument("m", type=_integer)
+    p.add_argument("a", type=_integer)
     p.set_defaults(func=_cmd_ramanujan)
 
     p = sub.add_parser("eta", help="polynomial Ramanujan sum eta(G, H) over F_p")
-    p.add_argument("p", type=int)
+    p.add_argument("p", type=_integer)
     p.add_argument("g")
     p.add_argument("h")
     p.set_defaults(func=_cmd_eta)
@@ -362,7 +376,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(exc.diagnostic.render(), file=sys.stderr)
         return 1
-    except _UsageError as exc:
+    except (_UsageError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (HypothesisError, CapExceededError) as exc:

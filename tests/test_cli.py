@@ -200,8 +200,13 @@ def test_eta_rejects_composite_field_order(capsys):
 def test_phi_subcommand(capsys):
     assert run_json(capsys, "phi", "9")["value"] == "6"
     assert run_json(capsys, "phi", "3", "t^2")["value"] == "6"
-    code, _, err = run(capsys, "phi", "0")
-    assert code == 1
+    for argv, message in (
+        (("phi", "0"), "phi expects a positive integer"),
+        (("phi", "abc"), "invalid int value: 'abc'"),
+        (("phi", "1.5", "t"), "invalid int value: '1.5'"),
+        (("ramanujan", "abc", "1"), "argument m: invalid int value: 'abc'"),
+    ):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_strong_pseudoprime_psi12_is_composite(capsys, tmp_path):
@@ -471,6 +476,17 @@ def test_digit_cap_still_guards_parsing(capsys, tmp_path):
     # 4300 digits still parse.
     path.write_text(f"mod 7: {'1' * 4300}*x1 = 1\n")
     assert run_json(capsys, "count", str(path))["count"] == "1"
+    # So do integer arguments, with the same limit and wording.
+    for argv, prefix in (
+        (("phi", digits), ""),
+        (("phi", digits, "t"), ""),
+        (("ramanujan", digits, "1"), "argument m: "),
+        (("ramanujan", "12", "-" + digits), "argument a: "),
+        (("eta", digits, "t", "t"), "argument p: "),
+        (("enumerate", "--cap", digits, str(path)), "argument --cap: "),
+    ):
+        assert run(capsys, *argv) == (1, "", f"error: {prefix}{message}\n")
+    assert run_json(capsys, "ramanujan", "12", "1" * 4300)["value"] == "0"
 
 
 def test_module_runs_as_script():

@@ -324,7 +324,7 @@ def enumerate_solutions_ff(
         (j, np.fromiter((poly_gcd(x, h) == t for x in pool), bool)) for j, h, t in triples
     ]
 
-    def passes(codes: list):
+    def passes(codes: tuple):
         mask = np.ones(codes[0].shape, dtype=bool)
         for tables, target in rows:
             acc = sum(t.take(c, axis=1) for t, c in zip(tables, codes)) % p

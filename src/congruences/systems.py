@@ -600,7 +600,7 @@ def enumerate_solutions(
         for row, m_i, b_i in zip(system.coefficients, system.moduli, system.rhs)
     ]
 
-    def passes(coords: list) -> Any:
+    def passes(coords: tuple):
         mask = np.ones(coords[0].shape, dtype=bool)
         for row, m_i, b_i in rows:
             acc = np.zeros(coords[0].shape, dtype=np.int64)

@@ -134,6 +134,18 @@ def test_format_document_canonical_text():
     )
     doc = parse_system("mod 9: -x1 = -4")
     assert format_document(doc) == "mod 9: 8*x1 = 5\n"
+    # Tab and NBSP are whitespace; \x0b and \x0c break lines, as in
+    # str.splitlines; Arabic-Indic digits are digits; "#" hides anything.
+    cases = {
+        "mod 12:\tx1 +\xa03*x2 = 1\n": "mod 12: x1 + 3*x2 = 1\n",
+        "mod 12: x1 = 1\x0bmod 35: x2 = 3\x0cgcd(x1, 12) = 1\n": (
+            "mod 12: x1 = 1\nmod 35: x2 = 3\ngcd(x1, 12) = 1\n"
+        ),
+        "mod \u0661\u0662: x1 = 1\n": "mod 12: x1 = 1\n",
+        "mod 12: x1 = 1  # \u00e9\n": "mod 12: x1 = 1\n",
+    }
+    for text, canonical in cases.items():
+        assert format_document(parse_system(text)) == canonical, repr(text)
 
 
 def test_roundtrip_fixpoint_on_samples():
@@ -218,6 +230,22 @@ def test_diagnostic_positions_are_exact():
     diagnostic = info.value.diagnostic
     assert (diagnostic.line, diagnostic.column) == (2, 5)
     assert diagnostic.excerpt == "mod 0: x2 = 1"
+    cases = {
+        "mod 12: x1 = 1\x0bmod 0: x2 = 1\n": (2, 5, "modulus must be at least 2"),
+        "mod 12: x1 = 1\x0cmod 0: x2 = 1\n": (2, 5, "modulus must be at least 2"),
+        "mod 12: x\u0663 = 1\n": (1, 9, "expected a term like 3*x1 or x1"),
+        "mod 12: x1 = \u00e9\n": (1, 14, "unexpected character '\u00e9'"),
+        "mod 12: x1 +": (1, 13, "expected a term like 3*x1 or x1"),
+    }
+    for text, (line, column, message) in cases.items():
+        with pytest.raises(ParseError) as info:
+            parse_system(text)
+        diagnostic = info.value.diagnostic
+        assert (diagnostic.line, diagnostic.column, diagnostic.message) == (
+            line,
+            column,
+            message,
+        ), repr(text)
 
 
 def test_first_error_wins():

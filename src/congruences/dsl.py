@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dataclass_field
-from typing import NoReturn
+from typing import Any, Callable, Iterator, NamedTuple, NoReturn
 
 from .errors import CongruenceError, HypothesisError
 from .ffsystems import PolyCongruenceSystem, PolyRestrictionTable, PolyRing
@@ -32,17 +32,21 @@ from .intarith import is_probable_prime
 from .systems import INT, CongruenceSystem, IntRing, RestrictionTable
 
 _VARIABLE_RE = re.compile(r"x\d+")
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+|[()+\-*^:,=]")
+# One alternative per token kind; \s is exactly str.isspace.
+_TOKEN_RE = re.compile(
+    r"(?P<space>\s+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)"
+    r"|(?P<sym>[()+\-*^:,=])|(?P<bad>.)"
+)
 # Largest exponent of t in a polynomial term; a term allocates one list entry
 # per power of t up to its exponent.
 _MAX_EXPONENT = 10**6
 # Longest run of digits in an integer literal or a variable name: Python's
 # default limit on int/str conversion, which int() would otherwise raise on.
 _MAX_DIGITS = 4300
+_NEEDS_HEADER = "polynomial syntax requires a field header"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "int", "sym", "eof"
     text: str
     line: int
@@ -77,7 +81,6 @@ class CongruenceLine:
     modulus: object
     terms: tuple[tuple[object, str], ...]
     rhs: object
-    span: tuple[int, int] = dataclass_field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,6 @@ class SystemDocument:
     congruences: tuple[CongruenceLine, ...]
     restrictions: tuple[RestrictionLine, ...]
     variables: tuple[str, ...]
-    tokens: tuple[Token, ...] = dataclass_field(compare=False, repr=False, default=())
 
     @property
     def mode(self) -> str:
@@ -118,40 +120,30 @@ def _tokenize(text: str) -> tuple[list[Token], list[str]]:
     lines = text.splitlines() or [""]
     tokens: list[Token] = []
     for lineno, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0]
-        pos = 0
-        while pos < len(body):
-            ch = body[pos]
-            if ch.isspace():
-                pos += 1
+        for match in _TOKEN_RE.finditer(line.split("#", 1)[0]):
+            kind = match.lastgroup
+            if kind == "space":
                 continue
-            match = _TOKEN_RE.match(body, pos)
-            if match is None:
-                raise ParseError(
-                    Diagnostic(f"unexpected character {ch!r}", lineno, pos + 1, line)
-                )
             word = match.group()
-            if word[0].isdigit():
-                kind, digits = "int", len(word)
-            elif word[0].isalpha() or word[0] == "_":
-                kind, digits = "ident", len(word) - len(word.rstrip("0123456789"))
-            else:
-                kind, digits = "sym", 0
-            if digits > _MAX_DIGITS:
-                column = pos + len(word) - digits + 1
-                message = f"a number of {digits} digits exceeds the limit {_MAX_DIGITS}"
+            column = match.start() + 1
+            if kind == "bad":
+                message = f"unexpected character {word!r}"
                 raise ParseError(Diagnostic(message, lineno, column, line))
-            tokens.append(Token(kind, word, lineno, pos + 1))
-            pos = match.end()
+            digits = len(word) if kind == "int" else len(word) - len(word.rstrip("0123456789"))
+            if digits > _MAX_DIGITS:
+                message = f"a number of {digits} digits exceeds the limit {_MAX_DIGITS}"
+                raise ParseError(Diagnostic(message, lineno, column + len(word) - digits, line))
+            tokens.append(Token(kind, word, lineno, column))
     tokens.append(Token("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens, lines
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, field: PrimeField | None = None):
         self.tokens, self.lines = _tokenize(text)
         self.pos = 0
-        self.field: PrimeField | None = None
+        self.field = field
+        self.ring: IntRing | PolyRing = INT if field is None else PolyRing(field)
 
     # token plumbing
 
@@ -166,8 +158,7 @@ class _Parser:
 
     def _fail(self, message: str, token: Token | None = None) -> NoReturn:
         tok = token if token is not None else self._tok()
-        excerpt = self.lines[tok.line - 1] if 0 < tok.line <= len(self.lines) else ""
-        raise ParseError(Diagnostic(message, tok.line, tok.column, excerpt))
+        self._fail_at(message, (tok.line, tok.column))
 
     def _fail_at(self, message: str, span: tuple[int, int]) -> NoReturn:
         line, column = span
@@ -196,12 +187,16 @@ class _Parser:
         self._advance()
         return int(tok.text)
 
-    def _signed_int(self, what: str) -> int:
-        sign = 1
-        if self._at_sym("-"):
+    def _signed(self, item: Callable[[], Any]) -> Iterator[tuple[bool, Any]]:
+        """(negated, item) for each item of ["-"] item (("+" | "-") item)*."""
+        negate = self._at_sym("-")
+        if negate:
             self._advance()
-            sign = -1
-        return sign * self._int_literal(what)
+        while True:
+            yield negate, item()
+            if not (self._at_sym("+") or self._at_sym("-")):
+                return
+            negate = self._advance().text == "-"
 
     def _poly_atom(self) -> GFPolynomial:
         assert self.field is not None
@@ -230,34 +225,28 @@ class _Parser:
         return GFPolynomial.from_coeffs(self.field, coeffs)
 
     def _poly_sum(self) -> GFPolynomial:
-        assert self.field is not None
-        total = GFPolynomial.zero(self.field)
-        negate = False
-        if self._at_sym("-"):
-            self._advance()
-            negate = True
-        while True:
-            atom = self._poly_atom()
+        total = self.ring.zero
+        for negate, atom in self._signed(self._poly_atom):
             total = total - atom if negate else total + atom
-            if self._at_sym("+"):
-                negate = False
-            elif self._at_sym("-"):
-                negate = True
-            else:
-                return total
-            self._advance()
+        return total
 
-    def _expr(self, signed: bool, what: str) -> object:
-        if self.field is None:
-            if self._at_ident("t"):
-                self._fail("polynomial syntax requires a field header")
-            return self._signed_int(what) if signed else self._int_literal(what)
-        return self._poly_sum()
+    def _expr(self, what: str, signed: bool = True) -> object:
+        """An integer literal, "-"-signed if signed; with a field header, a
+        polynomial sum, always signable."""
+        if self.field is not None:
+            return self._poly_sum()
+        if self._at_ident("t"):
+            self._fail(_NEEDS_HEADER)
+        negate = signed and self._at_sym("-")
+        if negate:
+            self._advance()
+        value = self._int_literal(what)
+        return -value if negate else value
 
     def _variable(self) -> tuple[str, Token]:
         tok = self._tok()
         if tok.kind == "ident" and self.field is None and tok.text == "t":
-            self._fail("polynomial syntax requires a field header")
+            self._fail(_NEEDS_HEADER)
         if tok.kind != "ident" or not _VARIABLE_RE.fullmatch(tok.text):
             self._fail("expected a variable like x1")
         self._advance()
@@ -266,7 +255,7 @@ class _Parser:
 
     # statements
 
-    def _header(self) -> int:
+    def _header(self) -> PrimeField:
         self._advance()  # "field"
         if not self._at_ident("GF"):
             self._fail("expected 'GF' after 'field'")
@@ -277,82 +266,44 @@ class _Parser:
         if not is_probable_prime(order):
             self._fail(f"field order {order} is not prime", order_tok)
         self._expect_sym(")", "expected ')' after the field order")
-        return order
+        return PrimeField(order)
 
     def _term(self) -> tuple[object, str]:
         tok = self._tok()
         if tok.kind == "ident" and _VARIABLE_RE.fullmatch(tok.text):
-            name, _ = self._variable()
-            one: object = 1 if self.field is None else GFPolynomial.one(self.field)
-            return one, name
+            return self.ring.one, self._variable()[0]
         if self.field is None:
-            if tok.kind == "int":
-                coeff = int(tok.text)
-                self._advance()
-                self._expect_sym("*", "expected '*' between coefficient and variable")
-                name, _ = self._variable()
-                return coeff, name
-            if self._at_ident("t"):
-                self._fail("polynomial syntax requires a field header")
-            self._fail("expected a term like 3*x1 or x1")
-        if self._at_sym("("):
+            coeff = self._expr("a term like 3*x1 or x1", signed=False)
+        elif self._at_sym("("):
             self._advance()
             coeff = self._poly_sum()
             self._expect_sym(")", "expected ')' after the coefficient")
-            self._expect_sym("*", "expected '*' between coefficient and variable")
-            name, _ = self._variable()
-            return coeff, name
-        if tok.kind == "int" or self._at_ident("t"):
+        elif tok.kind == "int" or self._at_ident("t"):
             coeff = self._poly_atom()
-            self._expect_sym("*", "expected '*' between coefficient and variable")
-            name, _ = self._variable()
-            return coeff, name
-        self._fail("expected a term like 3*x1, (t + 1)*x1 or x1")
+        else:
+            self._fail("expected a term like 3*x1, (t + 1)*x1 or x1")
+        self._expect_sym("*", "expected '*' between coefficient and variable")
+        return coeff, self._variable()[0]
 
     def _congruence(self) -> CongruenceLine:
-        start = self._advance()  # "mod"
+        self._advance()  # "mod"
         modulus_tok = self._tok()
-        if self.field is None:
-            if self._at_ident("t"):
-                self._fail("polynomial syntax requires a field header")
-            modulus: object = self._int_literal("a modulus")
-            if modulus < 2:  # type: ignore[operator]
-                self._fail("modulus must be at least 2", modulus_tok)
-        else:
-            modulus = self._poly_sum()
-            if modulus.degree < 1:  # type: ignore[union-attr]
-                self._fail("modulus must be non-constant", modulus_tok)
+        modulus = self._expr("a modulus", signed=False)
+        if self.ring.norm(modulus) < 2:
+            self._fail(f"modulus must be {self.ring.modulus_rule}", modulus_tok)
         self._expect_sym(":", "expected ':' after the modulus")
-
         combined: dict[str, object] = {}
-        negate = False
-        if self._at_sym("-"):
-            self._advance()
-            negate = True
-        while True:
-            coeff, name = self._term()
+        for negate, (coeff, name) in self._signed(self._term):
             if negate:
                 coeff = -coeff  # type: ignore[operator]
-            if name in combined:
-                combined[name] = combined[name] + coeff  # type: ignore[operator]
-            else:
-                combined[name] = coeff
-            if self._at_sym("+"):
-                negate = False
-            elif self._at_sym("-"):
-                negate = True
-            else:
-                break
-            self._advance()
+            combined[name] = combined.get(name, self.ring.zero) + coeff  # type: ignore[operator]
         self._expect_sym("=", "expected '=' after the linear combination")
-        rhs = self._expr(signed=True, what="an integer") % modulus  # type: ignore[operator]
+        rhs = self._expr("an integer") % modulus  # type: ignore[operator]
         terms = tuple(
             (combined[name] % modulus, name)  # type: ignore[operator]
             for name in sorted(combined, key=lambda v: int(v[1:]))
         )
-        return CongruenceLine(
-            modulus=modulus, terms=terms, rhs=rhs, span=(start.line, start.column)
-        )
+        return CongruenceLine(modulus=modulus, terms=terms, rhs=rhs)
 
     def _restriction(self) -> RestrictionLine:
         start = self._advance()  # "gcd"
@@ -360,32 +311,27 @@ class _Parser:
         name, var_tok = self._variable()
         self._expect_sym(",", "expected ',' after the variable")
         modulus_tok = self._tok()
-        modulus = self._expr(signed=False, what="a modulus")
+        modulus = self._expr("a modulus", signed=False)
         self._expect_sym(")", "expected ')' after the modulus")
         self._expect_sym("=", "expected '=' after 'gcd(...)'")
         value_tok = self._tok()
-        value = self._expr(signed=True, what="a restriction value")
-        if self.field is None:
-            if value < 1:  # type: ignore[operator]
-                self._fail("restriction value must be positive", value_tok)
-        else:
-            if value.is_zero:  # type: ignore[union-attr]
-                self._fail("restriction value must be nonzero", value_tok)
-            value = value.monic()  # type: ignore[union-attr]
+        value = self._expr("a restriction value")
+        if self.ring.norm(value) < 1:  # type: ignore[arg-type]
+            rule = "positive" if self.field is None else "nonzero"
+            self._fail(f"restriction value must be {rule}", value_tok)
         return RestrictionLine(
             variable=name,
             modulus=modulus,
-            value=value,
+            value=self.ring.normalise(value),  # type: ignore[arg-type]
             span=(start.line, start.column),
             variable_span=(var_tok.line, var_tok.column),
             modulus_span=(modulus_tok.line, modulus_tok.column),
         )
 
     def document(self) -> SystemDocument:
-        field_order: int | None = None
         if self._at_ident("field"):
-            field_order = self._header()
-            self.field = PrimeField(field_order)
+            self.field = self._header()
+            self.ring = PolyRing(self.field)
         congruences: list[CongruenceLine] = []
         restrictions: list[RestrictionLine] = []
         while self._tok().kind != "eof":
@@ -402,14 +348,7 @@ class _Parser:
             {name for line in congruences for _, name in line.terms},
             key=lambda v: int(v[1:]),
         )
-        doc = SystemDocument(
-            field_order=field_order,
-            congruences=tuple(congruences),
-            restrictions=tuple(restrictions),
-            variables=tuple(variables),
-            tokens=tuple(self.tokens),
-        )
-        ring = doc.ring
+        ring = self.ring
         moduli_keys = [ring.normalise(line.modulus) for line in congruences]
         seen: set[tuple[str, object]] = set()
         for r in restrictions:
@@ -431,7 +370,12 @@ class _Parser:
                     r.span,
                 )
             seen.add((r.variable, key))
-        return doc
+        return SystemDocument(
+            field_order=None if self.field is None else self.field.p,
+            congruences=tuple(congruences),
+            restrictions=tuple(restrictions),
+            variables=tuple(variables),
+        )
 
 
 def parse_system(text: str) -> SystemDocument:
@@ -492,8 +436,7 @@ def parse_poly(text: str, field: PrimeField) -> GFPolynomial:
     if "#" in text:
         raise ValueError(f"bad polynomial {text!r}: unexpected character '#'")
     try:
-        parser = _Parser(text)
-        parser.field = field
+        parser = _Parser(text, field)
         poly = parser._poly_sum()
         if parser._tok().kind != "eof":
             parser._fail("unexpected trailing input")

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .dsl import (
     _MAX_DIGITS,
@@ -66,28 +66,6 @@ def _integer(text: str) -> int:
 
 
 _quote = json.encoder.encode_basestring_ascii
-# Python 3.10 before 3.10.7 has no cap on int/str conversion, so nothing to lift.
-_set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
-
-
-def _without_digit_cap(convert: Callable[[Any], str], value: Any) -> str:
-    """convert(value) with Python's cap on int/str conversion digits lifted.
-
-    Counts can have many thousands of digits. The cap is lifted only for
-    this conversion, so it still guards parsing.
-    """
-    if _set_int_max_str_digits is None:
-        return convert(value)
-    cap = sys.get_int_max_str_digits()
-    _set_int_max_str_digits(0)
-    try:
-        return convert(value)
-    finally:
-        _set_int_max_str_digits(cap)
-
-
-def _decimal(n: int) -> str:
-    return _without_digit_cap(str, n)
 
 
 def _json_scalar(value: Any) -> str:
@@ -152,7 +130,7 @@ def _dumps(payload: dict[str, Any]) -> str:
 
 
 def _emit(payload: dict[str, Any]) -> None:
-    sys.stdout.write(_without_digit_cap(_dumps, payload))
+    sys.stdout.write(_dumps(payload))
 
 
 def _load(path: str) -> SystemDocument:
@@ -166,7 +144,7 @@ def _load(path: str) -> SystemDocument:
 def _report_payload(report: CountReport) -> dict[str, Any]:
     return {
         "schema": SCHEMA,
-        "count": _decimal(report.count),
+        "count": str(report.count),
         "solvable": report.solvable,
         "theorem": report.theorem,
         "details": dict(report.details),
@@ -200,8 +178,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     count, solutions = ring.oracle(system, build_restrictions(doc), args.cap)
     payload: dict[str, Any] = {
         "schema": SCHEMA,
-        "count": _decimal(count),
-        "modulus": _without_digit_cap(ring.format, ring.lcm(system.moduli)),
+        "count": str(count),
+        "modulus": ring.format(ring.lcm(system.moduli)),
     }
     if args.list:
         payload["solutions"] = solutions
@@ -218,7 +196,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     try:
         report = _formula_report(system, table)
-        methods["formula"] = {"count": _decimal(report.count), "theorem": report.theorem}
+        methods["formula"] = {"count": str(report.count), "theorem": report.theorem}
         counts.append(report.count)
     except HypothesisError as exc:
         methods["formula"] = {"skipped": str(exc)}
@@ -229,16 +207,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             snf_report = butson_stewart_count(system)
             methods["snf"] = {
-                "count": _decimal(snf_report.count),
+                "count": str(snf_report.count),
                 "invariant_factors": [
-                    _decimal(e) for e in snf_report.details["invariant_factors"]
+                    str(e) for e in snf_report.details["invariant_factors"]
                 ],
             }
             counts.append(snf_report.count)
 
     try:
         count, _ = system.ring.oracle(system, table, args.cap)
-        methods["oracle"] = {"count": _decimal(count)}
+        methods["oracle"] = {"count": str(count)}
         counts.append(count)
     except CapExceededError as exc:
         methods["oracle"] = {"skipped": str(exc)}
@@ -257,9 +235,9 @@ def _cmd_snf(args: argparse.Namespace) -> int:
     _emit(
         {
             "schema": SCHEMA,
-            "modulus": _decimal(report.details["modulus"]),
-            "invariant_factors": [_decimal(e) for e in report.details["invariant_factors"]],
-            "count": _decimal(report.count),
+            "modulus": str(report.details["modulus"]),
+            "invariant_factors": [str(e) for e in report.details["invariant_factors"]],
+            "count": str(report.count),
             "solvable": report.solvable,
         }
     )
@@ -278,15 +256,15 @@ def _cmd_crt(args: argparse.Namespace) -> int:
         {
             "schema": SCHEMA,
             "solvable": True,
-            "residue": _without_digit_cap(ring.format, b),
-            "modulus": _without_digit_cap(ring.format, m),
+            "residue": ring.format(b),
+            "modulus": ring.format(m),
         }
     )
     return 0
 
 
 def _cmd_ramanujan(args: argparse.Namespace) -> int:
-    _emit({"schema": SCHEMA, "value": _decimal(ramanujan_c(args.m, args.a))})
+    _emit({"schema": SCHEMA, "value": str(ramanujan_c(args.m, args.a))})
     return 0
 
 
@@ -294,7 +272,7 @@ def _cmd_eta(args: argparse.Namespace) -> int:
     field = PrimeField(args.p)
     g = parse_poly(args.g, field)
     h = parse_poly(args.h, field)
-    _emit({"schema": SCHEMA, "value": _decimal(eta(g, h))})
+    _emit({"schema": SCHEMA, "value": str(eta(g, h))})
     return 0
 
 
@@ -303,12 +281,12 @@ def _cmd_phi(args: argparse.Namespace) -> int:
         n = _integer(args.values[0])
         if n < 1:
             raise _UsageError("phi expects a positive integer")
-        _emit({"schema": SCHEMA, "value": _decimal(euler_phi(n))})
+        _emit({"schema": SCHEMA, "value": str(euler_phi(n))})
         return 0
     if len(args.values) == 2:
         field = PrimeField(_integer(args.values[0]))
         h = parse_poly(args.values[1], field)
-        _emit({"schema": SCHEMA, "value": _decimal(phi_poly(h))})
+        _emit({"schema": SCHEMA, "value": str(phi_poly(h))})
         return 0
     raise _UsageError("phi expects N or P H")
 
@@ -365,6 +343,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv: Sequence[str] | None = None) -> int:
+    # Counts can have many thousands of digits, so Python's cap on int/str
+    # conversion is lifted for the run. Text reaches int() only through the
+    # tokenizer and _integer, which both stop at _MAX_DIGITS themselves.
+    # Python 3.10 before 3.10.7 has no cap.
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,8 +1,12 @@
 """Smith normal form over Z and the invariant-factor solution count.
 
 The reduction uses only elementary unimodular row/column operations on exact
-integers; the pivot is always a minimal-absolute-value nonzero entry, ties
-broken by position, so the run is deterministic.
+integers, applied to one augmented matrix: the system in the top left, the
+columns that carry the row operations (U, or the rhs) to its right, and the
+rows that carry the column operations (V) below it. Every pivot is a
+minimal-absolute-value nonzero entry, of the remaining block at the start of a
+step and of the pivot's row and column after each round of nearest-integer
+reduction; ties go by position, so the run is deterministic.
 """
 
 from __future__ import annotations
@@ -58,74 +62,55 @@ def lift_to_common_modulus(
     return tuple(matrix), tuple(rhs), m
 
 
-def _diagonalize(a: list[list[int]], rows: list[list[int]], cols: list[list[int]]) -> list[int]:
-    """Reduce the k x n matrix a in place to Smith form; return its positive
-    diagonal e_1 | ... | e_r.
+def _diagonalize(a: list[list[int]], k: int, n: int) -> list[int]:
+    """Reduce the k x n top-left block of the augmented matrix a in place to
+    Smith form; return its positive diagonal e_1 | ... | e_r.
 
-    Each row operation on a is repeated on the k rows of `rows`, and each
-    column operation on the n columns of `cols` (a list of rows of length n).
+    Columns past n ride along with the row operations, and rows past k (which
+    need only n entries) with the column operations. Each step takes the
+    smallest nonzero entry of the remaining block as pivot, clears its column
+    and row with nearest-integer quotients, and moves the smallest remainder
+    left there to the pivot until both are clear. If the pivot then fails to
+    divide some entry of the remaining block, that entry's row is added to the
+    pivot row and the step goes on, so e_1 | e_2 | ... holds.
     """
-    k, n = len(a), len(a[0])
-
-    def swap_rows(i1, i2):
-        for mat in (a, rows):
-            mat[i1], mat[i2] = mat[i2], mat[i1]
-
-    def swap_cols(j1, j2):
-        for mat in (a, cols):
-            for row in mat:
-                row[j1], row[j2] = row[j2], row[j1]
-
-    def add_row(dst, src, q):
-        # row dst += q * row src
-        for mat in (a, rows):
-            mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
-
-    def add_col(dst, src, q):
-        for mat in (a, cols):
-            for row in mat:
-                row[dst] += q * row[src]
-
-    def negate_row(i):
-        for mat in (a, rows):
-            mat[i] = [-x for x in mat[i]]
-
     t = 0
     while t < min(k, n):
-        # Deterministic pivot: minimal |value| among nonzero entries, first by
-        # position on ties.
         pivot = min(
             ((abs(a[i][j]), i, j) for i in range(t, k) for j in range(t, n) if a[i][j]),
             default=None,
         )
         if pivot is None:
             break
-        swap_rows(t, pivot[1])
-        swap_cols(t, pivot[2])
-        while True:
+        while pivot is not None:
+            _, i, j = pivot
+            a[t], a[i] = a[i], a[t]
+            if j != t:
+                for row in a:
+                    row[t], row[j] = row[j], row[t]
             if a[t][t] < 0:
-                negate_row(t)
-            p = a[t][t]
+                a[t] = [-x for x in a[t]]
+            top = a[t]
+            p = top[t]
             for i in range(t + 1, k):
                 if a[i][t]:
-                    add_row(i, t, -(a[i][t] // p))
-            i = next((i for i in range(t + 1, k) if a[i][t]), None)
-            if i is not None:
-                swap_rows(t, i)
-                continue
+                    q = (2 * a[i][t] + p) // (2 * p)
+                    a[i] = [x - q * y for x, y in zip(a[i], top)]
             for j in range(t + 1, n):
-                if a[t][j]:
-                    add_col(j, t, -(a[t][j] // p))
-            j = next((j for j in range(t + 1, n) if a[t][j]), None)
-            if j is not None:
-                swap_cols(t, j)
-                continue
-            # Pivot must divide everything that remains, so later factors
-            # stay multiples of earlier ones.
-            i = next((i for i in range(t + 1, k) if any(x % p for x in a[i][t + 1 :])), None)
-            if i is None:
-                break
-            add_row(t, i, 1)
+                if top[j]:
+                    q = (2 * top[j] + p) // (2 * p)
+                    for row in a:
+                        row[j] -= q * row[t]
+            pivot = min(
+                [(abs(a[i][t]), i, t) for i in range(t + 1, k) if a[i][t]]
+                + [(abs(top[j]), t, j) for j in range(t + 1, n) if top[j]],
+                default=None,
+            )
+            if pivot is None:
+                i = next((i for i in range(t + 1, k) if any(x % p for x in a[i][t + 1 : n])), None)
+                if i is not None:
+                    a[t] = [x + y for x, y in zip(top, a[i])]
+                    pivot = (p, t, t)
         t += 1
     return [a[i][i] for i in range(t)]
 
@@ -138,13 +123,14 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
         raise ValueError("matrix must be nonempty")
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix rows must have equal length")
-    u = [[int(i == j) for j in range(k)] for i in range(k)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-    factors = _diagonalize([list(map(int, row)) for row in matrix], u, v)
+    # [A | I_k] over [I_n]: U collects in the right columns, V in the low rows.
+    a = [list(map(int, row)) + [int(i == j) for j in range(k)] for i, row in enumerate(matrix)]
+    a += [[int(i == j) for j in range(n)] for i in range(n)]
+    factors = _diagonalize(a, k, n)
     return SnfResult(
         invariant_factors=tuple(factors),
         rank=len(factors),
-        transforms=(tuple(map(tuple, u)), tuple(map(tuple, v))),
+        transforms=(tuple(tuple(row[n:]) for row in a[:k]), tuple(map(tuple, a[k:]))),
     )
 
 
@@ -159,10 +145,10 @@ def butson_stewart_count(system: CongruenceSystem) -> CountReport:
     matrices included.
     """
     matrix, rhs, m = lift_to_common_modulus(system)
-    carried = [[b_i] for b_i in rhs]
-    factors = _diagonalize([list(row) for row in matrix], carried, [])
+    augmented = [[*row, b_i] for row, b_i in zip(matrix, rhs)]
+    factors = _diagonalize(augmented, system.k, system.n)
     _check_chain(factors)
-    transformed = [c for (c,) in carried]
+    transformed = [row[-1] for row in augmented]
     factor_gcds = [math.gcd(e_i, m) for e_i in factors]
     r = len(factors)
     solvable = all(c % g == 0 for c, g in zip(transformed, factor_gcds)) and all(

@@ -39,6 +39,23 @@ def ref_rank(mat):
     return Matrix([list(row) for row in mat]).rank()
 
 
+def ref_invariant_factors(mat):
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    factors = invariant_factors(Matrix([list(row) for row in mat]), domain=ZZ)
+    return tuple(abs(int(e)) for e in factors if e)
+
+
+def random_unimodular(rng, size, steps):
+    u = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(steps):
+        i, j = rng.sample(range(size), 2)
+        q = rng.randrange(-3, 4)
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+    return u
+
+
 def check_snf(matrix):
     result = smith_normal_form(matrix)
     u, v = result.transforms
@@ -55,6 +72,7 @@ def check_snf(matrix):
     for e1, e2 in zip(result.invariant_factors, result.invariant_factors[1:]):
         assert e2 % e1 == 0
     assert result.rank == ref_rank(matrix)
+    assert result.invariant_factors == ref_invariant_factors(matrix)
     return result
 
 
@@ -90,6 +108,28 @@ def test_snf_random_matrices():
             tuple(rng.randrange(-30, 31) for _ in range(n)) for _ in range(k)
         )
         check_snf(matrix)
+    # Wide k x (k+2) matrices with entries up to 10^7, as in snf-wide queries.
+    for _ in range(20):
+        k = rng.randrange(2, 7)
+        check_snf(
+            tuple(
+                tuple(rng.randrange(-10**7, 10**7 + 1) for _ in range(k + 2))
+                for _ in range(k)
+            )
+        )
+    # U D V with a known divisibility chain D, some of it zero, so the
+    # divisibility fix-up and long Euclid runs both occur.
+    for _ in range(20):
+        k = rng.randrange(2, 7)
+        n = rng.randrange(2, k + 3)
+        chain = [rng.choice((1, 2, 3))]
+        for _ in range(min(k, n) - 1):
+            chain.append(chain[-1] * rng.choice((0, 1, 2, 6, 35)))
+        d = [[chain[i] if i == j else 0 for j in range(n)] for i in range(k)]
+        matrix = mat_mul(
+            mat_mul(random_unimodular(rng, k, 12), d), random_unimodular(rng, n, 12)
+        )
+        assert check_snf(matrix).invariant_factors == tuple(e for e in chain if e)
 
 
 def test_snf_deterministic():

@@ -6,7 +6,6 @@ from .errors import (
     CongruenceError,
     ExactnessError,
     HypothesisError,
-    UnsupportedShapeError,
 )
 from .ffsystems import (
     CharacterExponent,

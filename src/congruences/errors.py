@@ -12,11 +12,6 @@ class HypothesisError(CongruenceError):
     or a restriction value that does not divide its modulus)."""
 
 
-class UnsupportedShapeError(CongruenceError):
-    """Kept as a public name only: the library no longer raises it, since the
-    invariant-factor count covers every shape of lifted system."""
-
-
 class CapExceededError(CongruenceError):
     """An exhaustive scan would exceed the configured work cap."""
 

@@ -11,6 +11,8 @@ import math
 import random
 from itertools import product
 
+import numpy as np
+
 from congruences.ffsystems import PolyCongruenceSystem, PolyRestrictionTable
 from congruences.gfpoly import (
     GFPolynomial,
@@ -79,7 +81,33 @@ def cyclotomic_dft(values: dict[int, int], r: int, b: int) -> int:
 def brute_count_int(
     system: CongruenceSystem, table: RestrictionTable | None = None
 ) -> tuple[int, list[tuple[int, ...]]]:
-    """Naive nested-loop count over Z_m^n, m = lcm of the moduli."""
+    """Exhaustive numpy scan of Z_m^n, m = lcm of the moduli: the count and
+    every solution, in lexicographic order.
+
+    All of Z_m^n is held at once, so m^n must stay small (the differential
+    suites keep it at most a few times 10^5).
+    """
+    m = math.lcm(*system.moduli)
+    xs = np.indices((m,) * system.n).reshape(system.n, -1)
+    ok = np.ones(xs.shape[1], dtype=bool)
+    for row, m_i, b_i in zip(system.coefficients, system.moduli, system.rhs):
+        acc = np.zeros_like(ok, dtype=np.int64)
+        for a, x in zip(row, xs):
+            acc = (acc + a % m_i * x) % m_i
+        ok &= acc == b_i % m_i
+    if table is not None and table.entries:
+        for m_i, entries in zip(system.moduli, table.entries):
+            for x, t_ij in zip(xs, entries):
+                ok &= np.gcd(x, m_i) == t_ij
+    sols = [tuple(sol) for sol in xs[:, ok].T.tolist()]
+    return len(sols), sols
+
+
+def brute_count_int_naive(
+    system: CongruenceSystem, table: RestrictionTable | None = None
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Naive nested-loop count over Z_m^n, m = lcm of the moduli; the
+    reference for brute_count_int."""
     m = math.lcm(*system.moduli)
     count = 0
     sols = []

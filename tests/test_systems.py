@@ -20,7 +20,7 @@ from congruences import (
     system_count,
 )
 from congruences.systems import _SCAN_BLOCK
-from oracle_utils import brute_count_int, random_int_instance
+from oracle_utils import brute_count_int, brute_count_int_naive, random_int_instance
 
 
 def test_crt_examples():
@@ -286,6 +286,15 @@ def test_enumerate_matches_naive_scan():
         if sols is not None:
             assert sols == brute_sols
         checked += 1
+
+
+def test_brute_count_int_matches_naive_loop():
+    # The numpy oracle against the nested loop, on the first 50 instances of
+    # criterion 6e's integer stream.
+    rng = random.Random(0x6E01)
+    for _ in range(50):
+        system, table = random_int_instance(rng)
+        assert brute_count_int(system, table) == brute_count_int_naive(system, table)
 
 
 @pytest.mark.parametrize(

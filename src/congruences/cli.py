@@ -4,6 +4,10 @@ Subcommands read a system file in the text format of the dsl module and emit
 one JSON document on stdout (schema "1", keys sorted, counts as decimal
 strings). Exit codes: 0 success/agreement, 1 usage or parse error, 2 theorem
 hypothesis violated or work cap exceeded, 3 verification mismatch.
+
+Each `_cmd_*` handler returns only its payload. `_run` decides the exit code,
+in one place: from the exception a handler raised, else from the payload's
+"agreement". It adds the schema key and writes the document once.
 """
 
 from __future__ import annotations
@@ -122,15 +126,11 @@ def _write_json(value: Any, indent: str, out: list[str]) -> None:
         out.append(_json_scalar(value))
 
 
-def _dumps(payload: dict[str, Any]) -> str:
+def _emit(payload: dict[str, Any]) -> None:
     out: list[str] = []
     _write_json(payload, "", out)
     out.append("\n")
-    return "".join(out)
-
-
-def _emit(payload: dict[str, Any]) -> None:
-    sys.stdout.write(_dumps(payload))
+    sys.stdout.write("".join(out))
 
 
 def _load(path: str) -> SystemDocument:
@@ -139,16 +139,6 @@ def _load(path: str) -> SystemDocument:
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     return parse_system(text)
-
-
-def _report_payload(report: CountReport) -> dict[str, Any]:
-    return {
-        "schema": SCHEMA,
-        "count": str(report.count),
-        "solvable": report.solvable,
-        "theorem": report.theorem,
-        "details": dict(report.details),
-    }
 
 
 def _is_integer(system) -> bool:
@@ -164,30 +154,32 @@ def _formula_report(system, table) -> CountReport:
     return system_count(system)
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace) -> dict[str, Any]:
     doc = _load(args.file)
     report = _formula_report(build_system(doc), build_restrictions(doc))
-    _emit(_report_payload(report))
-    return 0
+    return {
+        "count": str(report.count),
+        "solvable": report.solvable,
+        "theorem": report.theorem,
+        "details": dict(report.details),
+    }
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> dict[str, Any]:
     doc = _load(args.file)
     system = build_system(doc)
     ring = system.ring
     count, solutions = ring.oracle(system, build_restrictions(doc), args.cap)
     payload: dict[str, Any] = {
-        "schema": SCHEMA,
         "count": str(count),
         "modulus": ring.format(ring.lcm(system.moduli)),
     }
     if args.list:
         payload["solutions"] = solutions
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
     doc = _load(args.file)
     system = build_system(doc)
     table = build_restrictions(doc)
@@ -221,78 +213,56 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except CapExceededError as exc:
         methods["oracle"] = {"skipped": str(exc)}
 
-    agreement = len(set(counts)) <= 1
-    _emit({"schema": SCHEMA, "methods": methods, "agreement": agreement})
-    return 0 if agreement else 3
+    return {"methods": methods, "agreement": len(set(counts)) <= 1}
 
 
-def _cmd_snf(args: argparse.Namespace) -> int:
-    doc = _load(args.file)
-    system = build_system(doc)
+def _cmd_snf(args: argparse.Namespace) -> dict[str, Any]:
+    system = build_system(_load(args.file))
     if not _is_integer(system):
         raise _UsageError("snf applies to integer systems only")
     report = butson_stewart_count(system)
-    _emit(
-        {
-            "schema": SCHEMA,
-            "modulus": str(report.details["modulus"]),
-            "invariant_factors": [str(e) for e in report.details["invariant_factors"]],
-            "count": str(report.count),
-            "solvable": report.solvable,
-        }
-    )
-    return 0
+    return {
+        "modulus": str(report.details["modulus"]),
+        "invariant_factors": [str(e) for e in report.details["invariant_factors"]],
+        "count": str(report.count),
+        "solvable": report.solvable,
+    }
 
 
-def _cmd_crt(args: argparse.Namespace) -> int:
+def _cmd_crt(args: argparse.Namespace) -> dict[str, Any]:
     system = build_system(_load(args.file))
     ring = system.ring
     solved = ring.crt(system.rhs, system.moduli)
     if solved is None:
-        _emit({"schema": SCHEMA, "solvable": False})
-        return 0
+        return {"solvable": False}
     b, m = solved
-    _emit(
-        {
-            "schema": SCHEMA,
-            "solvable": True,
-            "residue": ring.format(b),
-            "modulus": ring.format(m),
-        }
-    )
-    return 0
+    return {"solvable": True, "residue": ring.format(b), "modulus": ring.format(m)}
 
 
-def _cmd_ramanujan(args: argparse.Namespace) -> int:
-    _emit({"schema": SCHEMA, "value": str(ramanujan_c(args.m, args.a))})
-    return 0
+def _cmd_ramanujan(args: argparse.Namespace) -> dict[str, Any]:
+    return {"value": str(ramanujan_c(args.m, args.a))}
 
 
-def _cmd_eta(args: argparse.Namespace) -> int:
+def _cmd_eta(args: argparse.Namespace) -> dict[str, Any]:
     field = PrimeField(args.p)
-    g = parse_poly(args.g, field)
-    h = parse_poly(args.h, field)
-    _emit({"schema": SCHEMA, "value": str(eta(g, h))})
-    return 0
+    return {"value": str(eta(parse_poly(args.g, field), parse_poly(args.h, field)))}
 
 
-def _cmd_phi(args: argparse.Namespace) -> int:
+def _cmd_phi(args: argparse.Namespace) -> dict[str, Any]:
     if len(args.values) == 1:
         n = _integer(args.values[0])
         if n < 1:
             raise _UsageError("phi expects a positive integer")
-        _emit({"schema": SCHEMA, "value": str(euler_phi(n))})
-        return 0
+        return {"value": str(euler_phi(n))}
     if len(args.values) == 2:
         field = PrimeField(_integer(args.values[0]))
-        h = parse_poly(args.values[1], field)
-        _emit({"schema": SCHEMA, "value": str(phi_poly(h))})
-        return 0
+        return {"value": str(phi_poly(parse_poly(args.values[1], field)))}
     raise _UsageError("phi expects N or P H")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="congruences", description=__doc__)
+    # --help shows the docstring without its last paragraph, which is internal.
+    parser = _Parser(prog="congruences", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def with_file(p: argparse.ArgumentParser) -> None:
@@ -358,26 +328,20 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
 
 def _run(argv: Sequence[str] | None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        payload = args.func(args)
     except ParseError as exc:
         print(exc.diagnostic.render(), file=sys.stderr)
-        return 1
-    except (_UsageError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (HypothesisError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (_UsageError, argparse.ArgumentTypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _emit({"schema": SCHEMA, **payload})
+    return 3 if payload.get("agreement") is False else 0
 
 
 def main() -> None:

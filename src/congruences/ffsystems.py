@@ -31,13 +31,13 @@ from .gfpoly import (
 from .report import CountReport
 from .systems import (
     DEFAULT_ENUMERATION_CAP,
-    _POLY_TABLE_LIMIT,
     RestrictionTable,
     _crt,
     _e_value,
     _j_value,
     _ramanujan_divisor_sum,
     _ramanujan_sum,
+    _require_pairwise_coprime,
     _restriction_triples,
     _scan,
     _scan_modulus,
@@ -49,6 +49,11 @@ from .systems import (
 )
 
 _ETA_ORACLE_CAP = 10**5
+
+# Most table entries the F_p[t] oracle builds before it scans: one per residue
+# for the residue list, each coefficient and each gcd restriction. Each entry
+# is a polynomial product or gcd in Python, so this bounds that Python work.
+_POLY_TABLE_LIMIT = 10**6
 
 
 def tau(a: GFPolynomial, h: GFPolynomial) -> int:
@@ -187,8 +192,8 @@ class PolyRing:
     def restriction_table(self, entries) -> PolyRestrictionTable:
         return PolyRestrictionTable(entries)
 
-    def crt(self, rhs, moduli) -> tuple[GFPolynomial, GFPolynomial]:
-        return _crt(self, rhs, moduli, coprime=True)
+    def crt(self, rhs, moduli) -> tuple[GFPolynomial, GFPolynomial] | None:
+        return _crt(self, rhs, moduli)
 
     def oracle(self, system, restrictions, cap: int):
         return enumerate_solutions_ff(system, restrictions, cap=cap)
@@ -229,7 +234,10 @@ def crt_poly(
     """Simultaneous residue modulo the product of pairwise coprime moduli."""
     if not moduli:
         raise ValueError("residues and moduli must be equal-length and nonempty")
-    return PolyRing(moduli[0].field).crt(rhs, moduli)
+    ring = PolyRing(moduli[0].field)
+    solved = ring.crt(rhs, moduli)  # first, so that its ValueErrors come first
+    _require_pairwise_coprime(ring, moduli)
+    return solved
 
 
 def system_count_ff(system: PolyCongruenceSystem) -> CountReport:

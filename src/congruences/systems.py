@@ -30,11 +30,6 @@ DEFAULT_ENUMERATION_CAP = 10**8
 # (products stay below 2**63 after per-step reduction).
 _NUMPY_MODULUS_LIMIT = 3 * 10**9
 
-# Most table entries the F_p[t] oracle builds before it scans: one per residue
-# for the residue list, each coefficient and each gcd restriction. Each entry
-# is a polynomial product or gcd in Python, so this bounds that Python work.
-_POLY_TABLE_LIMIT = 10**6
-
 # Tuples per block of the oracle scan. Larger blocks are no faster, and their
 # freed arrays raise glibc's mmap threshold, so later ones stay in the heap.
 _SCAN_BLOCK = 1 << 16
@@ -193,9 +188,9 @@ def _require_pairwise_coprime(ring: IntRing | PolyRing, moduli: Sequence) -> Non
                 )
 
 
-def _crt(ring: IntRing | PolyRing, residues: Sequence, moduli: Sequence, coprime: bool = False):
+def _crt(ring: IntRing | PolyRing, residues: Sequence, moduli: Sequence):
     """Simultaneous residue b modulo the normalised lcm of the moduli, as
-    (b, lcm), or None when inconsistent; coprime demands pairwise coprime moduli.
+    (b, lcm), or None when inconsistent.
 
     Solvable exactly when every pair satisfies b_i = b_j mod gcd(m_i, m_j).
     """
@@ -203,8 +198,6 @@ def _crt(ring: IntRing | PolyRing, residues: Sequence, moduli: Sequence, coprime
         raise ValueError("residues and moduli must be equal-length and nonempty")
     if any(ring.norm(m) < 2 for m in moduli):
         raise ValueError(f"moduli must be {ring.modulus_rule}")
-    if coprime:
-        _require_pairwise_coprime(ring, moduli)
     m = ring.normalise(moduli[0])
     b = residues[0] % m
     for r_i, m_i in zip(residues[1:], moduli[1:]):

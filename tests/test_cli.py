@@ -181,6 +181,16 @@ def test_crt_polynomial(capsys):
     assert payload["modulus"] == "t^3 + t^2"
 
 
+def test_crt_polynomial_moduli_not_coprime(capsys, tmp_path):
+    # t^2 and t share the factor t; crt answers as it does over Z.
+    path = tmp_path / "shared_factor.cong"
+    path.write_text("field GF(2)\nmod t^2: x1 = 1\nmod t: x1 = 1\n")
+    payload = run_json(capsys, "crt", str(path))
+    assert payload == {"schema": "1", "solvable": True, "residue": "1", "modulus": "t^2"}
+    path.write_text("field GF(2)\nmod t^2: x1 = 1\nmod t: x1 = 0\n")
+    assert run_json(capsys, "crt", str(path)) == {"schema": "1", "solvable": False}
+
+
 def test_ramanujan_subcommand(capsys):
     assert run_json(capsys, "ramanujan", "21", "210")["value"] == "12"
     assert run_json(capsys, "ramanujan", "10", "105")["value"] == "-4"

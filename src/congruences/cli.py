@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -88,11 +89,58 @@ def _json_scalar(value: Any) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _divisor_table_text(rows: list, indent: str) -> str | None:
+    """rows as _write_json writes them at the nesting of indent, when they
+    are a divisor table: dicts with exactly the keys divisor, product,
+    rhs_value and variable_values, an int or GFPolynomial divisor, an int
+    product and rhs_value, and as variable_values lists of ints, all of one
+    nonzero length. Each row is then one %-format of one template, so its
+    ints are converted by C code with no Python call per value. None for
+    any other list."""
+    if {*map(type, rows)} != {dict} or {*map(len, rows)} != {4}:
+        return None
+    try:  # a dict of four keys that holds these four holds no other
+        divisors = [row["divisor"] for row in rows]
+        products = [row["product"] for row in rows]
+        rhs_values = [row["rhs_value"] for row in rows]
+        values = [row["variable_values"] for row in rows]
+    except KeyError:
+        return None
+    divisor_types = {*map(type, divisors)}
+    if (
+        not divisor_types <= {int, GFPolynomial}
+        or {*map(type, products), *map(type, rhs_values)} != {int}
+        or {*map(type, values)} != {list}
+        or {*map(type, chain.from_iterable(values))} != {int}  # set() if all empty
+        or len({*map(len, values)}) != 1
+    ):
+        return None
+    if GFPolynomial in divisor_types:
+        divisors = list(map(_json_scalar, divisors))
+    inner = indent + "  "
+    field = inner + "  "
+    template = (
+        "{\n" + field + '"divisor": %s,\n'
+        + field + '"product": %d,\n'
+        + field + '"rhs_value": %d,\n'
+        + field + '"variable_values": [\n'
+        + field + "  " + (",\n" + field + "  ").join(["%d"] * len(values[0])) + "\n"
+        + field + "]\n"
+        + inner + "}"
+    )
+    text = (",\n" + inner).join([
+        template % (d, product, rhs, *vs)
+        for d, product, rhs, vs in zip(divisors, products, rhs_values, values)
+    ])
+    return "[\n" + inner + text + "\n" + indent + "]"
+
+
 def _write_json(value: Any, indent: str, out: list[str]) -> None:
     """Append value to out as json.dumps(value, sort_keys=True, indent=2)
     writes it at the nesting of indent, with GFPolynomial values as their
-    canonical text. Plain ints, most of a divisor table, are written in
-    place rather than by a recursive call."""
+    canonical text. A divisor table is written row by row from one template
+    (`_divisor_table_text`); other plain ints are written in place rather
+    than by a recursive call."""
     if isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -112,6 +160,11 @@ def _write_json(value: Any, indent: str, out: list[str]) -> None:
         if not value:
             out.append("[]")
             return
+        if type(value) is list and type(value[0]) is dict:
+            text = _divisor_table_text(value, indent)
+            if text is not None:
+                out.append(text)
+                return
         inner = indent + "  "
         sep = "[\n" + inner
         for item in value:

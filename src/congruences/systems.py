@@ -374,40 +374,52 @@ def prime_by_prime_divisor_table(
     is multiplicative in q, so the row of d = prod_p p^f is the entrywise
     product of one local row per prime power p^e exactly dividing m, with the
     local values C_{p^f}(b) and C_{p^mu_l}(p^(e-f)), p^mu_l exactly dividing
-    M_l. Those e + 1 local rows per prime are evaluated once and multiplied
-    out. The rows come back as divisor-table dicts ordered by
+    M_l. Those e + 1 local values per prime are evaluated once. The table is
+    held by column (divisors, rhs values, one column per M_l, products), and
+    each prime multiplies every column out against its local column in one
+    comprehension. The row dicts are built once, at the end, ordered by
     ring.sort_key(divisor).
 
-    Raises ExactnessError unless the rows sum to the product over the primes
-    of the local sums.
+    Raises ExactnessError unless the products sum to the product over the
+    primes of the local sums.
     """
-    rows = [(ring.one, 1, [1] * len(column_moduli), 1)]
+    divisors = [ring.one]
+    rhs_values = [1]
+    columns = [[1] for _ in column_moduli]
+    products = [1]
     expected = 1
     for p, e in ring.factor(m):
         norm = ring.norm(p)
         v_b = _valuation(ring, p, b, e)
-        mus = [_valuation(ring, p, m_l, e) for m_l in column_moduli]
-        local = []
-        p_f = ring.one
-        for f in range(e + 1):
-            r = _local_ramanujan(norm, f, v_b)
-            vs = [_local_ramanujan(norm, mu, e - f) for mu in mus]
-            local.append((p_f, r, vs, math.prod(vs, start=r)))
-            p_f = p_f * p
-        expected *= sum(row[3] for row in local)
-        rows = [
-            (d * d_p, r * r_p, [v * v_p for v, v_p in zip(vs, vs_p)], prod * prod_p)
-            for d, r, vs, prod in rows
-            for d_p, r_p, vs_p, prod_p in local
+        local_divisors = [ring.one]
+        for _ in range(e):
+            local_divisors.append(local_divisors[-1] * p)
+        local_rhs = [_local_ramanujan(norm, f, v_b) for f in range(e + 1)]
+        local_columns = [
+            [_local_ramanujan(norm, mu, e - f) for f in range(e + 1)]
+            for mu in (_valuation(ring, p, m_l, e) for m_l in column_moduli)
         ]
-    sort_key = ring.sort_key
-    rows.sort(key=lambda row: sort_key(row[0]))
-    total = sum(row[3] for row in rows)
+        local_products = [math.prod(vs, start=r) for r, *vs in zip(local_rhs, *local_columns)]
+        expected *= sum(local_products)
+        divisors = [d * d_p for d in divisors for d_p in local_divisors]
+        rhs_values = [r * r_p for r in rhs_values for r_p in local_rhs]
+        columns = [
+            [v * v_p for v in column for v_p in local]
+            for column, local in zip(columns, local_columns)
+        ]
+        products = [prod * prod_p for prod in products for prod_p in local_products]
+    total = sum(products)
     if total != expected:
         raise ExactnessError("divisor sum must equal the product of its per-prime sums")
+    keys = list(map(ring.sort_key, divisors))
     table = [
-        {"divisor": d, "rhs_value": r, "variable_values": vs, "product": prod}
-        for d, r, vs, prod in rows
+        {
+            "divisor": divisors[i],
+            "rhs_value": rhs_values[i],
+            "variable_values": [column[i] for column in columns],
+            "product": products[i],
+        }
+        for i in sorted(range(len(keys)), key=keys.__getitem__)
     ]
     return table, total
 

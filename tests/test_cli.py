@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface: output JSON, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,18 @@ from pathlib import Path
 import pytest
 
 import congruences.cli as cli_module
-from congruences import CountReport, GFPolynomial, PrimeField, format_poly
+from congruences import (
+    CongruenceSystem,
+    CountReport,
+    GFPolynomial,
+    PolyCongruenceSystem,
+    PolyRestrictionTable,
+    PrimeField,
+    RestrictionTable,
+    format_poly,
+    restricted_system_count,
+    restricted_system_count_ff,
+)
 from congruences.cli import run_cli
 from congruences.dsl import _MAX_EXPONENT
 
@@ -392,9 +404,55 @@ def test_emit_matches_json_dumps_on_samples(capsys, monkeypatch):
     assert checked == 34
 
 
+def _real_divisor_tables():
+    """Details of restricted counts: two Z systems modulo a product of eight
+    primes near 10^6 (256 rows, n = 1 and n = 4) and one F_5[t] system
+    (24 rows)."""
+    primes = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117, 1000121)
+    m = math.prod(primes)
+    tables = []
+    for t in ((1,), (1, primes[0], 1, primes[1] * primes[2])):
+        system = CongruenceSystem((tuple(range(1, len(t) + 1)),), (m,), (5,))
+        tables.append(restricted_system_count(system, RestrictionTable((t,))).details)
+    field = PrimeField(5)
+
+    def poly(*coeffs):
+        return GFPolynomial.from_coeffs(field, coeffs)
+
+    one, t = poly(1), poly(0, 1)
+    h1 = t * t * poly(1, 1)
+    h2 = poly(2, 0, 1) * poly(1, 1, 0, 1)
+    system = PolyCongruenceSystem(
+        field, ((one, poly(2)), (one, one)), (h1, h2), (poly(3), t)
+    )
+    restrictions = PolyRestrictionTable(((one, t), (one, one)))
+    tables.append(restricted_system_count_ff(system, restrictions).details)
+    return tables
+
+
 def test_emit_matches_json_dumps_on_synthetic_payloads(capsys):
     field = PrimeField(5)
     poly = GFPolynomial.from_coeffs(field, (1, 0, 3))
+    real = _real_divisor_tables()
+    assert [len(details["divisor_table"]) for details in real] == [256, 256, 24]
+    z_rows = real[0]["divisor_table"] + real[1]["divisor_table"]
+    assert {len(row["variable_values"]) for row in z_rows} == {1, 4}
+    assert min(row["rhs_value"] for row in z_rows) < 0
+    assert max(row["product"] for row in z_rows) >= 10**40
+    assert all(isinstance(row["divisor"], GFPolynomial) for row in real[2]["divisor_table"])
+    row = {"divisor": 6, "product": -4, "rhs_value": 2, "variable_values": [-2, 1]}
+    near_misses = [
+        {**row, "rhs_value": True},
+        {**row, "divisor": False},
+        {**row, "variable_values": [-2, True]},
+        {**row, "variable_values": (-2, 1)},
+        {**row, "variable_values": []},
+        {**row, "variable_values": [-2]},
+        {**row, "extra": 0},
+        {"divisor": 6, "product": -4, "rhs": 2, "variable_values": [-2, 1]},
+        {**row, "divisor": "6"},
+        [row],
+    ]
     payloads = [
         {},
         {"empty_list": [], "empty_dict": {}, "nested": [[], [{}], {"a": [[[]]]}]},
@@ -407,10 +465,21 @@ def test_emit_matches_json_dumps_on_synthetic_payloads(capsys):
             "table": [{"divisor": poly, "product": -4, "variable_values": [-2, 5]}],
         },
         {"tuple": (1, (2, 3), ()), "z": 1, "a": 2, "M": 3, "": "empty key"},
+        *({"details": details} for details in real),
+        {"one_row": [row], "polynomial_row": [{**row, "divisor": poly}], "empty_table": []},
+        # Lists of rows that are not exactly a divisor table, each after a good row.
+        *({"table": [row, near_miss]} for near_miss in near_misses),
+        {"table": (row, row)},
     ]
     for payload in payloads:
         cli_module._emit(payload)
         assert capsys.readouterr().out == _dumps(payload)
+    # A set of ints is no JSON value, in a table row or anywhere else.
+    unserializable = {"table": [row, {**row, "variable_values": {-2, 1}}]}
+    with pytest.raises(TypeError):
+        json.dumps(unserializable)
+    with pytest.raises(TypeError):
+        cli_module._emit(unserializable)
 
 
 def test_huge_counts_print_in_full(capsys, tmp_path):

@@ -154,17 +154,19 @@ def power(poly, e):
     return out
 
 
-def random_poly_system(rng, field, factor_count):
+def random_poly_system(rng, field, factor_count, exponents=None):
     """H with factor_count distinct monic irreducible factors of degree 1-3
-    and exponents 1-2, dealt to 1-3 rows, and coefficients that often share
-    a factor with their modulus. The restrictions are the gcds of a planted
-    solution, which also gives the right-hand side half of the time."""
+    and exponents 1-2 (or the given exponents), dealt to 1-3 rows, and
+    coefficients that often share a factor with their modulus. The
+    restrictions are the gcds of a planted solution, which also gives the
+    right-hand side half of the time."""
     pool = [h for degree in (1, 2, 3) for h in irreducibles(field, degree)]
     chosen = rng.sample(pool, factor_count)
     k = rng.randint(1, min(3, factor_count))
     parts = [[] for _ in range(k)]
     for idx, irreducible in enumerate(chosen):
-        parts[idx % k].append((irreducible, rng.randint(1, 2)))
+        e = rng.randint(1, 2) if exponents is None else exponents[idx]
+        parts[idx % k].append((irreducible, e))
     n = rng.randint(1, 3)
     planted = rng.random() < 0.5
 
@@ -194,6 +196,14 @@ def random_poly_system(rng, field, factor_count):
     )
 
 
+def assert_table_rows(table, sort_key):
+    """Every row's variable_values is a list, and the rows are ordered by
+    the ring's sort key of their divisors."""
+    assert all(type(row["variable_values"]) is list for row in table)
+    keys = [sort_key(row["divisor"]) for row in table]
+    assert keys == sorted(keys)
+
+
 def test_int_divisor_table_matches_per_divisor_evaluation():
     rng = random.Random(0xD1F)
     shapes = [(1,) * 12, (3,) * 6, (1, 3, 1, 3, 1, 3, 1)]  # tau(m) = 4096, 4096, 512
@@ -207,6 +217,7 @@ def test_int_divisor_table_matches_per_divisor_evaluation():
         report = restricted_system_count(system, restrictions)
         table = report.details["divisor_table"]
         assert table == per_divisor_table_int(system, restrictions)
+        assert_table_rows(table, int)
         assert len(table) == math.prod(e + 1 for e in exponents)
         assert report.details["divisor_sum"] == sum(row["product"] for row in table)
         nonzero += report.details["divisor_sum"] != 0
@@ -230,6 +241,7 @@ def test_ff_divisor_table_matches_per_divisor_evaluation():
         reference = per_divisor_table_ff(system, restrictions)
         assert [row["divisor"] for row in table] == [row["divisor"] for row in reference]
         assert table == reference
+        assert_table_rows(table, GFPolynomial.sort_key)
         assert report.details["divisor_sum"] == sum(row["product"] for row in table)
         nonzero += report.details["divisor_sum"] != 0
         big_h, b, t = unit_coefficient_inputs(system, restrictions, crt_poly)
@@ -241,3 +253,23 @@ def test_ff_divisor_table_matches_per_divisor_evaluation():
         )
         assert unit_report.theorem == "restricted_sum_poly"
     assert nonzero >= 8
+
+
+def test_divisor_tables_of_one_prime_power_and_of_ten_primes():
+    # p^e for e = 1..6, and ten distinct primes (1024 rows), over Z and over
+    # F_3[t], where ten irreducibles of degree at most 3 exist.
+    rng = random.Random(0xD1D)
+    shapes = [(e,) for e in range(1, 7)] + [(1,) * 10]
+    for exponents in shapes:
+        system, restrictions = random_int_system(rng, exponents)
+        table = restricted_system_count(system, restrictions).details["divisor_table"]
+        assert len(table) == math.prod(e + 1 for e in exponents)
+        assert table == per_divisor_table_int(system, restrictions)
+        assert_table_rows(table, int)
+    field = PrimeField(3)
+    for exponents in shapes:
+        system, restrictions = random_poly_system(rng, field, len(exponents), exponents)
+        table = restricted_system_count_ff(system, restrictions).details["divisor_table"]
+        assert len(table) == math.prod(e + 1 for e in exponents)
+        assert table == per_divisor_table_ff(system, restrictions)
+        assert_table_rows(table, GFPolynomial.sort_key)

@@ -4,6 +4,8 @@ Everything works on plain Python ints (arbitrary precision) and never touches
 floating point. Factorization is trial division up to 10**6 followed by
 Pollard rho, with Miller-Rabin primality checks that are deterministic below
 3.18 * 10**23 and Baillie-PSW above, so results are reproducible across runs.
+Pollard rho works under a step budget, so a number whose factors lie past its
+reach is a CapExceededError, not a hang.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Sequence
 
+from .errors import CapExceededError
+
 _TRIAL_LIMIT = 10**6
+# Pollard rho may take _RHO_STEPS steps on a composite of up to
+# _RHO_FULL_BITS bits, enough to split off any prime up to about 10**12 (the
+# walk needs about sqrt(p) steps). A step's modular products cost about the
+# square of the size, so a larger composite gets that many fewer steps.
+_RHO_STEPS = 2**23
+_RHO_FULL_BITS = 256
 
 # The first 12 primes as Miller-Rabin witnesses decide primality for every
 # n below psi_12 = 318665857834031151167461, the least strong pseudoprime to
@@ -137,7 +147,10 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+    """A nontrivial factor of composite odd n (Brent's cycle variant), or
+    CapExceededError once the step budget for n's size is spent."""
+    budget = _RHO_STEPS * _RHO_FULL_BITS**2 // max(n.bit_length(), _RHO_FULL_BITS) ** 2
+    steps = budget
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -145,6 +158,12 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
+            if 2 * r > steps:
+                raise CapExceededError(
+                    f"factoring a {len(str(n))}-digit composite exceeds the budget "
+                    f"of {budget} Pollard rho steps"
+                )
+            steps -= 2 * r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

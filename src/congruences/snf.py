@@ -3,10 +3,13 @@
 The reduction uses only elementary unimodular row/column operations on exact
 integers, applied to one augmented matrix: the system in the top left, the
 columns that carry the row operations (U, or the rhs) to its right, and the
-rows that carry the column operations (V) below it. Every pivot is a
-minimal-absolute-value nonzero entry, of the remaining block at the start of a
-step and of the pivot's row and column after each round of nearest-integer
-reduction; ties go by position, so the run is deterministic.
+rows that carry the column operations (V) below it. Each step clears the
+pivot's row first, by Euclid with column operations, and then its column with
+row operations, each of which changes one entry of the system besides the
+carried columns. Every pivot is a minimal-absolute-value nonzero entry, of the
+remaining block at the start of a step and of the pivot's row or column after
+each round of nearest-integer reduction; ties go by position, so the run is
+deterministic.
 """
 
 from __future__ import annotations
@@ -68,12 +71,16 @@ def _diagonalize(a: list[list[int]], k: int, n: int) -> list[int]:
 
     Columns past n ride along with the row operations, and rows past k (which
     need only n entries) with the column operations. Each step takes the
-    smallest nonzero entry of the remaining block as pivot, clears its column
-    and row with nearest-integer quotients, and moves the smallest remainder
-    left there to the pivot until both are clear. If the pivot then fails to
-    divide some entry of the remaining block, that entry's row is added to the
-    pivot row and the step goes on, so e_1 | e_2 | ... holds.
+    smallest nonzero entry of the remaining block as pivot. It runs Euclid
+    along the pivot row with column operations (the rows above it are zero
+    there and are skipped) until the row is clear, then clears the column with
+    row operations, which change only the column and the carried entries. A
+    remainder left in the column is smaller than the pivot, so it moves up and
+    the step repeats. If the pivot then fails to divide some entry of the
+    remaining block, that entry's row is added to the pivot row and the step
+    goes on, so e_1 | e_2 | ... holds.
     """
+    carried = range(n, len(a[0]))
     t = 0
     while t < min(k, n):
         pivot = min(
@@ -82,35 +89,36 @@ def _diagonalize(a: list[list[int]], k: int, n: int) -> list[int]:
         )
         if pivot is None:
             break
-        while pivot is not None:
-            _, i, j = pivot
+        _, i, j = pivot
+        while i is not None:
             a[t], a[i] = a[i], a[t]
-            if j != t:
-                for row in a:
+            top, rest = a[t], a[t:]
+            while j is not None:
+                for row in rest:
                     row[t], row[j] = row[j], row[t]
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            top = a[t]
+                p = top[t]
+                for j in range(t + 1, n):
+                    if top[j]:
+                        q = (2 * top[j] + p) // (2 * p)
+                        for row in rest:
+                            row[j] -= q * row[t]
+                j = min(((abs(top[j]), j) for j in range(t + 1, n) if top[j]), default=(0, None))[1]
+            if top[t] < 0:
+                a[t] = top = [-x for x in top]
             p = top[t]
-            for i in range(t + 1, k):
-                if a[i][t]:
-                    q = (2 * a[i][t] + p) // (2 * p)
-                    a[i] = [x - q * y for x, y in zip(a[i], top)]
-            for j in range(t + 1, n):
-                if top[j]:
-                    q = (2 * top[j] + p) // (2 * p)
-                    for row in a:
-                        row[j] -= q * row[t]
-            pivot = min(
-                [(abs(a[i][t]), i, t) for i in range(t + 1, k) if a[i][t]]
-                + [(abs(top[j]), t, j) for j in range(t + 1, n) if top[j]],
-                default=None,
-            )
-            if pivot is None:
+            for row in a[t + 1 : k]:
+                if row[t]:
+                    q = (2 * row[t] + p) // (2 * p)
+                    row[t] -= q * p
+                    for c in carried:
+                        row[c] -= q * top[c]
+            i = min(((abs(a[i][t]), i) for i in range(t + 1, k) if a[i][t]), default=(0, None))[1]
+            if i is None:
                 i = next((i for i in range(t + 1, k) if any(x % p for x in a[i][t + 1 : n])), None)
                 if i is not None:
                     a[t] = [x + y for x, y in zip(top, a[i])]
-                    pivot = (p, t, t)
+                    i = t
+            j = t
         t += 1
     return [a[i][i] for i in range(t)]
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import congruences.cli as cli_module
+import congruences.intarith as intarith_module
 from congruences import (
     CongruenceSystem,
     CountReport,
@@ -133,6 +134,17 @@ def test_enumerate_cap_exceeded(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "moduli below 3000000000" in err
+
+
+def test_factoring_past_the_rho_budget_exit_code(capsys, monkeypatch):
+    # The product of two primes past 10**19 exhausts Pollard rho's budget;
+    # a smaller budget keeps this fast (test_intarith runs the real one).
+    monkeypatch.setattr(intarith_module, "_RHO_STEPS", 2**12)
+    m = (10**19 + 51) * (10**20 + 39)
+    code, out, err = run(capsys, "ramanujan", str(m), "1")
+    assert code == 2
+    assert out == ""
+    assert "factoring a 40-digit composite exceeds the budget" in err
 
 
 def test_snf_subcommand(capsys):

@@ -18,6 +18,7 @@ from congruences import (
     nary_gcd,
     nary_lcm,
 )
+from congruences.errors import CapExceededError
 from congruences.intarith import _strong_lucas_probable_prime
 from oracle_utils import ref_divisors, ref_factor, ref_mobius, ref_phi
 
@@ -55,6 +56,17 @@ def test_factored_integer_validation():
 def test_factorize_large_semiprime():
     p, q = 10**9 + 7, 10**9 + 9
     assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+def test_factorize_splits_a_prime_below_10_to_the_12():
+    p, q = 999999999989, 10**20 + 39
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+def test_factorize_past_the_rho_budget_raises():
+    # Pollard rho needs about sqrt(p) steps; 10**19 is far past the budget.
+    with pytest.raises(CapExceededError, match="a 40-digit composite exceeds the budget"):
+        factorize((10**19 + 51) * (10**20 + 39))
 
 
 def test_factorize_prime_power_beyond_trial_range():

@@ -229,3 +229,48 @@ def test_butson_stewart_every_shape():
     counts = [butson_stewart_count(system).count for system in systems]
     assert counts == [enumerate_solutions(system)[0] for system in systems]
     assert counts == [1, 1, 0, 12, 0, 2, 0]
+
+
+def snf_wide_system(rng, k):
+    """A k x (k+2) system shaped like the snf-wide benchmark queries: moduli
+    up to 10^7 that share a power of one of 2, 3, 5, 7."""
+    n = k + 2
+    shared = rng.choice((2, 3, 5, 7))
+    moduli = []
+    for _ in range(k):
+        part = shared ** rng.randint(1, 3)
+        moduli.append(part * rng.randrange(1, 10**7 // part))
+    return CongruenceSystem(
+        tuple(tuple(rng.randrange(m) for _ in range(n)) for m in moduli),
+        tuple(moduli),
+        tuple(rng.randrange(m) for m in moduli),
+    )
+
+
+def test_butson_stewart_on_wide_lifted_systems():
+    rng = random.Random(44)
+    for k in range(4, 9):
+        for _ in range(2):
+            system = snf_wide_system(rng, k)
+            matrix, _, m = lift_to_common_modulus(system)
+            report = butson_stewart_count(system)
+            factors = tuple(report.details["invariant_factors"])
+            assert factors == ref_invariant_factors(matrix)
+            assert report.details["factor_gcds"] == [math.gcd(e, m) for e in factors]
+            if k <= 6:
+                assert check_snf(matrix).invariant_factors == factors
+
+
+def test_butson_stewart_tall_system_needs_the_divisibility_fix_up():
+    # Lifted to m = 6 the matrix is ((2, 0), (0, 3), (2, 2)). The first pivot
+    # 2 clears its row and column and leaves 3 and 2 below it, and 2 does not
+    # divide 3: without the fix-up the diagonal would not be a chain.
+    system = CongruenceSystem(((1, 0), (0, 1), (2, 2)), (3, 2, 6), (1, 0, 2))
+    matrix, _, _ = lift_to_common_modulus(system)
+    assert matrix == ((2, 0), (0, 3), (2, 2))
+    report = butson_stewart_count(system)
+    assert report.details["invariant_factors"] == [1, 2]
+    assert check_snf(matrix).invariant_factors == (1, 2)
+    assert report.count == enumerate_solutions(system)[0]
+    unsolvable = CongruenceSystem(system.coefficients, system.moduli, (1, 0, 1))
+    assert butson_stewart_count(unsolvable).count == enumerate_solutions(unsolvable)[0]

@@ -73,6 +73,7 @@ from .dsl import (
 from .snf import SnfResult, butson_stewart_count, lift_to_common_modulus, smith_normal_form
 from .systems import (
     CongruenceSystem,
+    DivisorTable,
     RestrictionTable,
     crt_solve,
     enumerate_solutions,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -38,6 +37,7 @@ from .snf import butson_stewart_count
 from .systems import (
     CongruenceSystem,
     DEFAULT_ENUMERATION_CAP,
+    DivisorTable,
     lehmer_count,
     restricted_system_count,
     system_count,
@@ -89,58 +89,39 @@ def _json_scalar(value: Any) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _divisor_table_text(rows: list, indent: str) -> str | None:
-    """rows as _write_json writes them at the nesting of indent, when they
-    are a divisor table: dicts with exactly the keys divisor, product,
-    rhs_value and variable_values, an int or GFPolynomial divisor, an int
-    product and rhs_value, and as variable_values lists of ints, all of one
-    nonzero length. Each row is then one %-format of one template, so its
-    ints are converted by C code with no Python call per value. None for
-    any other list."""
-    if {*map(type, rows)} != {dict} or {*map(len, rows)} != {4}:
-        return None
-    try:  # a dict of four keys that holds these four holds no other
-        divisors = [row["divisor"] for row in rows]
-        products = [row["product"] for row in rows]
-        rhs_values = [row["rhs_value"] for row in rows]
-        values = [row["variable_values"] for row in rows]
-    except KeyError:
-        return None
-    divisor_types = {*map(type, divisors)}
-    if (
-        not divisor_types <= {int, GFPolynomial}
-        or {*map(type, products), *map(type, rhs_values)} != {int}
-        or {*map(type, values)} != {list}
-        or {*map(type, chain.from_iterable(values))} != {int}  # set() if all empty
-        or len({*map(len, values)}) != 1
-    ):
-        return None
-    if GFPolynomial in divisor_types:
+def _divisor_table_text(table: DivisorTable, indent: str) -> str:
+    """A nonempty table as _write_json writes its rows at the nesting of
+    indent. Each row is one %-format of one template over the table's
+    columns, so its ints are converted by C code with no Python call per
+    value."""
+    divisors = table.divisors
+    if not isinstance(divisors[0], int):
         divisors = list(map(_json_scalar, divisors))
     inner = indent + "  "
     field = inner + "  "
+    values = "[]"
+    if table.columns:
+        values = (
+            "[\n" + field + "  " + (",\n" + field + "  ").join(["%d"] * len(table.columns))
+            + "\n" + field + "]"
+        )
     template = (
         "{\n" + field + '"divisor": %s,\n'
         + field + '"product": %d,\n'
         + field + '"rhs_value": %d,\n'
-        + field + '"variable_values": [\n'
-        + field + "  " + (",\n" + field + "  ").join(["%d"] * len(values[0])) + "\n"
-        + field + "]\n"
+        + field + '"variable_values": ' + values + "\n"
         + inner + "}"
     )
-    text = (",\n" + inner).join([
-        template % (d, product, rhs, *vs)
-        for d, product, rhs, vs in zip(divisors, products, rhs_values, values)
-    ])
-    return "[\n" + inner + text + "\n" + indent + "]"
+    rows = zip(divisors, table.products, table.rhs_values, *table.columns)
+    return "[\n" + inner + (",\n" + inner).join(map(template.__mod__, rows)) + "\n" + indent + "]"
 
 
 def _write_json(value: Any, indent: str, out: list[str]) -> None:
     """Append value to out as json.dumps(value, sort_keys=True, indent=2)
     writes it at the nesting of indent, with GFPolynomial values as their
-    canonical text. A divisor table is written row by row from one template
-    (`_divisor_table_text`); other plain ints are written in place rather
-    than by a recursive call."""
+    canonical text. A DivisorTable is written from its columns, one template
+    per row (`_divisor_table_text`); every other list takes the generic
+    path. Plain ints are written in place rather than by a recursive call."""
     if isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -160,11 +141,6 @@ def _write_json(value: Any, indent: str, out: list[str]) -> None:
         if not value:
             out.append("[]")
             return
-        if type(value) is list and type(value[0]) is dict:
-            text = _divisor_table_text(value, indent)
-            if text is not None:
-                out.append(text)
-                return
         inner = indent + "  "
         sep = "[\n" + inner
         for item in value:
@@ -175,6 +151,8 @@ def _write_json(value: Any, indent: str, out: list[str]) -> None:
                 _write_json(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
+    elif isinstance(value, DivisorTable):
+        out.append(_divisor_table_text(value, indent) if value else "[]")
     else:
         out.append(_json_scalar(value))
 

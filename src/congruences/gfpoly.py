@@ -169,10 +169,6 @@ class GFPolynomial:
         return not self.coefficients
 
     @property
-    def is_unit(self) -> bool:
-        return self.degree == 0
-
-    @property
     def lc(self) -> int:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")

@@ -12,7 +12,8 @@ class CountReport:
 
     count is an exact nonnegative integer, solvable mirrors count > 0, theorem
     names the formula used, and details holds the named intermediates the
-    formula produced (gcds, crt residue, divisor table rows, ...).
+    formula produced (gcds, crt residue, ...). A restricted count's divisor
+    table is a `systems.DivisorTable`, a read-only sequence of row dicts.
     """
 
     count: int

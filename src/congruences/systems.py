@@ -13,9 +13,11 @@ Enumeration is one independent exhaustive oracle for both rings (`_scan`).
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import CapExceededError, ExactnessError, HypothesisError
 from .intarith import divisors, euler_phi, factorize, mobius, nary_gcd, nary_lcm
@@ -365,9 +367,51 @@ def _e_value(ring: IntRing | PolyRing, a: Any, moduli: Sequence, ambient: Any) -
     return total
 
 
+@dataclass(frozen=True, eq=False)
+class DivisorTable(Sequence):
+    """The rows of a divisor sum  sum_{d | m} C_d(b) prod_l C_{M_l}(m/d),
+    held as four columns in the ring's sort_key order of the divisors: the
+    divisors d, the values C_d(b), one column of C_{M_l}(m/d) per M_l, and
+    the row products.
+
+    A read-only sequence of row dicts {"divisor", "rhs_value",
+    "variable_values", "product"}; each row is made when it is read, and
+    variable_values is a list. A table equals any sequence of equal rows.
+    """
+
+    divisors: tuple
+    rhs_values: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
+    products: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.divisors)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return {
+            "divisor": self.divisors[i],
+            "rhs_value": self.rhs_values[i],
+            "variable_values": [column[i] for column in self.columns],
+            "product": self.products[i],
+        }
+
+    def __iter__(self):
+        for d, rhs, product, *values in zip(
+            self.divisors, self.rhs_values, self.products, *self.columns
+        ):
+            yield {"divisor": d, "rhs_value": rhs, "variable_values": values, "product": product}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
 def prime_by_prime_divisor_table(
     ring: IntRing | PolyRing, m: Any, b: Any, column_moduli: Sequence[Any]
-) -> tuple[list[dict[str, Any]], int]:
+) -> tuple[DivisorTable, int]:
     """Rows and sum of  sum_{d | m} C_d(b) prod_l C_{M_l}(m/d), prime by prime.
 
     Each M_l divides m, and C is the Ramanujan sum (eta over F_p[t]). C_q(a)
@@ -377,8 +421,8 @@ def prime_by_prime_divisor_table(
     M_l. Those e + 1 local values per prime are evaluated once. The table is
     held by column (divisors, rhs values, one column per M_l, products), and
     each prime multiplies every column out against its local column in one
-    comprehension. The row dicts are built once, at the end, ordered by
-    ring.sort_key(divisor).
+    comprehension. Each column is then permuted once into ring.sort_key
+    order of the divisors; no row dict is built (`DivisorTable`).
 
     Raises ExactnessError unless the products sum to the product over the
     primes of the local sums.
@@ -412,15 +456,14 @@ def prime_by_prime_divisor_table(
     if total != expected:
         raise ExactnessError("divisor sum must equal the product of its per-prime sums")
     keys = list(map(ring.sort_key, divisors))
-    table = [
-        {
-            "divisor": divisors[i],
-            "rhs_value": rhs_values[i],
-            "variable_values": [column[i] for column in columns],
-            "product": products[i],
-        }
-        for i in sorted(range(len(keys)), key=keys.__getitem__)
-    ]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+
+    def permuted(column: list) -> tuple:
+        return tuple(map(column.__getitem__, order))
+
+    table = DivisorTable(
+        permuted(divisors), permuted(rhs_values), tuple(map(permuted, columns)), permuted(products)
+    )
     return table, total
 
 

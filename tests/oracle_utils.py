@@ -145,7 +145,42 @@ def brute_sum_restricted(m: int, b: int, t: tuple[int, ...]) -> int:
 def brute_count_ff(
     system: PolyCongruenceSystem, table: PolyRestrictionTable | None = None
 ) -> tuple[int, list[tuple[GFPolynomial, ...]]]:
-    """Naive polynomial scan over residues modulo the lcm of the moduli."""
+    """Exhaustive scan of the residues modulo the lcm of the moduli: the
+    count and every solution, in the order of the naive scan.
+
+    a_ij * x mod h_i and gcd(x, h_i) are tabulated once per residue x, so
+    each tuple is checked by lookups. A sum of residues mod h_i is itself
+    reduced, so row i holds when the looked-up terms add up to b_i mod h_i.
+    """
+    from congruences.gfpoly import poly_lcm_many
+
+    xs_all = residues(system.field, poly_lcm_many(system.moduli).degree)
+    zero = GFPolynomial.zero(system.field)
+    rows = [
+        ([{x: a * x % h_i for x in xs_all} for a in row], b_i % h_i)
+        for row, h_i, b_i in zip(system.coefficients, system.moduli, system.rhs)
+    ]
+    gcd_checks = []
+    if table is not None and table.entries:
+        for h_i, entries in zip(system.moduli, table.entries):
+            gcds = {x: poly_gcd(x, h_i) for x in xs_all}
+            gcd_checks.extend((j, gcds, t_ij) for j, t_ij in enumerate(entries))
+    sols = [
+        xs
+        for xs in product(xs_all, repeat=system.n)
+        if all(gcds[xs[j]] == t_ij for j, gcds, t_ij in gcd_checks)
+        and all(
+            sum(map(dict.__getitem__, terms, xs), zero) == target for terms, target in rows
+        )
+    ]
+    return len(sols), sols
+
+
+def brute_count_ff_naive(
+    system: PolyCongruenceSystem, table: PolyRestrictionTable | None = None
+) -> tuple[int, list[tuple[GFPolynomial, ...]]]:
+    """Naive polynomial scan over residues modulo the lcm of the moduli; the
+    reference for brute_count_ff."""
     from congruences.gfpoly import poly_lcm_many
 
     big_h = poly_lcm_many(system.moduli)

@@ -15,6 +15,7 @@ import congruences.intarith as intarith_module
 from congruences import (
     CongruenceSystem,
     CountReport,
+    DivisorTable,
     GFPolynomial,
     PolyCongruenceSystem,
     PolyRestrictionTable,
@@ -380,12 +381,13 @@ def test_every_sample_verifies(capsys):
 
 
 def _plain(value):
-    """value with every polynomial replaced by its canonical text."""
+    """value with every polynomial replaced by its canonical text, and every
+    divisor table by its rows, read through the sequence protocol."""
     if isinstance(value, GFPolynomial):
         return format_poly(value)
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, DivisorTable)):
         return [_plain(v) for v in value]
     return value
 
@@ -447,11 +449,13 @@ def test_emit_matches_json_dumps_on_synthetic_payloads(capsys):
     poly = GFPolynomial.from_coeffs(field, (1, 0, 3))
     real = _real_divisor_tables()
     assert [len(details["divisor_table"]) for details in real] == [256, 256, 24]
-    z_rows = real[0]["divisor_table"] + real[1]["divisor_table"]
+    z_rows = [*real[0]["divisor_table"], *real[1]["divisor_table"]]
     assert {len(row["variable_values"]) for row in z_rows} == {1, 4}
     assert min(row["rhs_value"] for row in z_rows) < 0
     assert max(row["product"] for row in z_rows) >= 10**40
     assert all(isinstance(row["divisor"], GFPolynomial) for row in real[2]["divisor_table"])
+    # The tables are written from their columns, not through the generic path.
+    assert all(type(details["divisor_table"]) is DivisorTable for details in real)
     row = {"divisor": 6, "product": -4, "rhs_value": 2, "variable_values": [-2, 1]}
     near_misses = [
         {**row, "rhs_value": True},

@@ -11,8 +11,10 @@ import math
 import operator
 import random
 
+import congruences.cli as cli_module
 from congruences import (
     CongruenceSystem,
+    DivisorTable,
     GFPolynomial,
     PolyCongruenceSystem,
     PolyRestrictionTable,
@@ -204,6 +206,31 @@ def assert_table_rows(table, sort_key):
     assert keys == sorted(keys)
 
 
+def assert_reads_as_rows(table, rows, capsys):
+    """table is a DivisorTable that reads as the list rows, by length,
+    index (negative too), slice and iteration, and compares equal to it
+    from either side. A row read from it is a fresh dict: changing it
+    changes neither the table nor what the CLI writes of it. A table with
+    one product changed differs."""
+    assert type(table) is DivisorTable
+    assert len(table) == len(rows)
+    assert table[-1] == rows[-1] and table[-len(rows)] == rows[0]
+    assert table[-2:] == rows[-2:]
+    assert list(table) == rows
+    assert table == rows and rows == table
+    products = (*table.products[:-1], table.products[-1] + 1)
+    changed = DivisorTable(table.divisors, table.rhs_values, table.columns, products)
+    assert changed != table and changed != rows and rows != changed
+    cli_module._emit({"divisor_table": table})
+    written = capsys.readouterr().out
+    for row in (table[0], table[-1], next(iter(table))):
+        row["product"] += 1
+        row["variable_values"].append(0)
+    assert table[0] == rows[0] and table[-1] == rows[-1]
+    cli_module._emit({"divisor_table": table})
+    assert capsys.readouterr().out == written
+
+
 def test_int_divisor_table_matches_per_divisor_evaluation():
     rng = random.Random(0xD1F)
     shapes = [(1,) * 12, (3,) * 6, (1, 3, 1, 3, 1, 3, 1)]  # tau(m) = 4096, 4096, 512
@@ -255,7 +282,7 @@ def test_ff_divisor_table_matches_per_divisor_evaluation():
     assert nonzero >= 8
 
 
-def test_divisor_tables_of_one_prime_power_and_of_ten_primes():
+def test_divisor_tables_of_one_prime_power_and_of_ten_primes(capsys):
     # p^e for e = 1..6, and ten distinct primes (1024 rows), over Z and over
     # F_3[t], where ten irreducibles of degree at most 3 exist.
     rng = random.Random(0xD1D)
@@ -264,12 +291,16 @@ def test_divisor_tables_of_one_prime_power_and_of_ten_primes():
         system, restrictions = random_int_system(rng, exponents)
         table = restricted_system_count(system, restrictions).details["divisor_table"]
         assert len(table) == math.prod(e + 1 for e in exponents)
-        assert table == per_divisor_table_int(system, restrictions)
+        reference = per_divisor_table_int(system, restrictions)
+        assert table == reference
         assert_table_rows(table, int)
+        assert_reads_as_rows(table, reference, capsys)
     field = PrimeField(3)
     for exponents in shapes:
         system, restrictions = random_poly_system(rng, field, len(exponents), exponents)
         table = restricted_system_count_ff(system, restrictions).details["divisor_table"]
         assert len(table) == math.prod(e + 1 for e in exponents)
-        assert table == per_divisor_table_ff(system, restrictions)
+        reference = per_divisor_table_ff(system, restrictions)
+        assert table == reference
         assert_table_rows(table, GFPolynomial.sort_key)
+        assert_reads_as_rows(table, reference, capsys)

@@ -35,7 +35,9 @@ from congruences.dsl import build_restrictions, build_system, parse_system
 from congruences.systems import _SCAN_BLOCK
 from oracle_utils import (
     brute_count_ff,
+    brute_count_ff_naive,
     brute_sum_restricted_ff,
+    random_int_instance,
     random_poly,
     random_poly_instance,
 )
@@ -434,6 +436,18 @@ def test_differential_ff_formula_vs_oracle():
             formula = restricted_system_count_ff(system, table).count
         oracle, _ = enumerate_solutions_ff(system, table)
         assert formula == oracle
+
+
+def test_brute_count_ff_matches_naive_loop():
+    # The tabulated oracle against the nested loop, on the first 40
+    # polynomial instances of criterion 6e's stream, which follow its 500
+    # integer instances.
+    rng = random.Random(0x6E01)
+    for _ in range(500):
+        random_int_instance(rng)
+    for _ in range(40):
+        system, table = random_poly_instance(rng, rng.choice([3, 5]))
+        assert brute_count_ff(system, table) == brute_count_ff_naive(system, table)
 
 
 def test_enumerate_ff_code_order_and_cap():

@@ -21,31 +21,16 @@ output_sha256 is the hash of the written document, to compare the commits.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
-import json
-import os
-import platform
-import sys
 import tempfile
 from pathlib import Path
-from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
+from ladder import best_of, parse_args, write_run
+
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 KS = range(4, 13)
-REPEATS = 5
-
-
-def best_of(fn) -> float:
-    times = []
-    for _ in range(REPEATS):
-        t0 = perf_counter()
-        fn()
-        times.append(perf_counter() - t0)
-    return min(times)
 
 
 def rung(k: int, cli, dsl, systems, work: Path) -> dict:
@@ -90,14 +75,7 @@ def rung(k: int, cli, dsl, systems, work: Path) -> dict:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="key of this run in the output file")
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="directory holding the congruences package to time")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_divisor_table.json")
-    args = parser.parse_args()
-
-    sys.path.insert(0, str(args.src.resolve()))
+    args = parse_args(__doc__.splitlines()[0], "BENCH_divisor_table.json")
     from congruences import cli, dsl, systems
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -105,16 +83,7 @@ def main() -> None:
     for r in ladder:
         print(f"k={r['k']:2d} rows={r['rows']:5d} build {r['build_s'] * 1e3:8.2f} ms"
               f"  write {r['write_s'] * 1e3:8.2f} ms  count {r['count_s'] * 1e3:8.2f} ms")
-
-    document = json.loads(args.out.read_text()) if args.out.exists() else {}
-    document.setdefault("runs", {})[args.label] = {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "repeats": REPEATS,
-        "ladder": ladder,
-    }
-    args.out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    write_run(args.out, args.label, ladder)
 
 
 if __name__ == "__main__":

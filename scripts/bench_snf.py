@@ -19,30 +19,15 @@ compare the commits.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import os
-import platform
 import random
-import sys
-from pathlib import Path
-from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
+from ladder import best_of, parse_args, write_run
+
 KS = (4, 8, 12, 16, 24, 32)
 SYSTEMS = 6
 MODULUS_LIMIT = 10**7
-REPEATS = 5
-
-
-def best_of(fn) -> float:
-    times = []
-    for _ in range(REPEATS):
-        t0 = perf_counter()
-        fn()
-        times.append(perf_counter() - t0)
-    return min(times)
 
 
 def wide_system(rng: random.Random, k: int, congruence_system):
@@ -76,14 +61,7 @@ def rung(k: int, congruences) -> dict:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="key of this run in the output file")
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="directory holding the congruences package to time")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_snf.json")
-    args = parser.parse_args()
-
-    sys.path.insert(0, str(args.src.resolve()))
+    args = parse_args(__doc__.splitlines()[0], "BENCH_snf.json")
     import congruences
 
     ladder = []
@@ -92,16 +70,7 @@ def main() -> None:
         r = ladder[-1]
         print(f"k={k:2d} {SYSTEMS} systems {r['seconds'] * 1e3:9.2f} ms"
               f"  largest factor {r['max_factor_digits']} digits", flush=True)
-
-    document = json.loads(args.out.read_text()) if args.out.exists() else {}
-    document.setdefault("runs", {})[args.label] = {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "repeats": REPEATS,
-        "ladder": ladder,
-    }
-    args.out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    write_run(args.out, args.label, ladder)
 
 
 if __name__ == "__main__":

@@ -8,10 +8,8 @@ from .errors import (
     HypothesisError,
 )
 from .ffsystems import (
-    CharacterExponent,
     PolyCongruenceSystem,
     PolyRestrictionTable,
-    char_exponent,
     crt_poly,
     enumerate_solutions_ff,
     eta,
@@ -51,10 +49,8 @@ from .intarith import (
     nary_lcm,
 )
 from .ramanujan import (
-    EvenFunctionTable,
     MultiIndex,
     e_function,
-    even_dft,
     j_function,
     ramanujan_c,
     ramanujan_c_sum,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -286,8 +287,10 @@ def _cmd_phi(args: argparse.Namespace) -> dict[str, Any]:
             raise _UsageError("phi expects a positive integer")
         return {"value": str(euler_phi(n))}
     if len(args.values) == 2:
-        field = PrimeField(_integer(args.values[0]))
-        return {"value": str(phi_poly(parse_poly(args.values[1], field)))}
+        h = parse_poly(args.values[1], PrimeField(_integer(args.values[0])))
+        if h.is_zero:
+            raise _UsageError("phi expects a nonzero polynomial")
+        return {"value": str(phi_poly(h))}
     raise _UsageError("phi expects N or P H")
 
 
@@ -331,12 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ramanujan)
 
     p = sub.add_parser("eta", help="polynomial Ramanujan sum eta(G, H) over F_p")
+    # A polynomial may start with "-", as in -t + 1: read such a token as a value.
+    p._negative_number_matcher = poly_value = re.compile(r"^-[^-]")
     p.add_argument("p", type=_integer)
     p.add_argument("g")
     p.add_argument("h")
     p.set_defaults(func=_cmd_eta)
 
     p = sub.add_parser("phi", help="totient: phi N (integers) or phi P H (F_p[t])")
+    p._negative_number_matcher = poly_value
     p.add_argument("values", nargs="+")
     p.set_defaults(func=_cmd_phi)
 

@@ -107,10 +107,6 @@ class SystemDocument:
     variables: tuple[str, ...]
 
     @property
-    def mode(self) -> str:
-        return "integer" if self.field_order is None else "polynomial"
-
-    @property
     def ring(self) -> IntRing | PolyRing:
         """The ring the document's values live in."""
         return INT if self.field_order is None else PolyRing(PrimeField(self.field_order))

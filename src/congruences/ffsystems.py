@@ -67,23 +67,6 @@ def tau(a: GFPolynomial, h: GFPolynomial) -> int:
     return r.coefficients[target]
 
 
-@dataclass(frozen=True)
-class CharacterExponent:
-    """Exponent of the additive character value, an element of [0, p)."""
-
-    value: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.p:
-            raise ValueError("exponent must lie in [0, p)")
-
-
-def char_exponent(g: GFPolynomial, h: GFPolynomial, a: GFPolynomial) -> CharacterExponent:
-    """Exponent of E(G, H) evaluated at A, i.e. tau(G * A mod H)."""
-    return CharacterExponent(tau(g * a, h), h.field.p)
-
-
 def eta(g: GFPolynomial, h: GFPolynomial) -> int:
     """eta(G, H): the polynomial analogue of the Ramanujan sum.
 
@@ -240,10 +223,9 @@ def crt_poly(
     return solved
 
 
-def system_count_ff(system: PolyCongruenceSystem) -> CountReport:
-    """Count solutions of a pairwise-coprime system in (F_p[t]/H)^n with H the
-    product of the moduli: |H|^(n-1) times the product of the row gcd norms."""
-    return system_count(system)
+# A system carries its ring, so the generic counts take F_p[t] systems as they are.
+system_count_ff = system_count
+restricted_system_count_ff = restricted_system_count
 
 
 def single_restricted_count_ff(
@@ -263,15 +245,6 @@ def restricted_count_unit_coeffs_ff(
     if h.degree < 1:
         raise ValueError("modulus must be non-constant")
     return _unit_coefficient_sum(PolyRing(h.field), h, b, t)
-
-
-def restricted_system_count_ff(
-    system: PolyCongruenceSystem, restrictions: PolyRestrictionTable
-) -> CountReport:
-    """Count solutions in (F_p[t]/H)^n (H the product of the pairwise coprime
-    moduli) under the full gcd restriction table: the polynomial case of
-    `systems.restricted_system_count`, with eta sums for Ramanujan sums."""
-    return restricted_system_count(system, restrictions)
 
 
 def i_and_j_functions_ff(

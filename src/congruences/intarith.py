@@ -221,12 +221,6 @@ def factorize(n: int) -> FactoredInteger:
     return FactoredInteger(n, tuple(sorted(counts.items())))
 
 
-def _as_factored(n: int | FactoredInteger) -> FactoredInteger:
-    if isinstance(n, FactoredInteger):
-        return n
-    return factorize(n)
-
-
 @lru_cache(maxsize=65536)
 def _divisors_from_factors(factors: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     out = [1]
@@ -236,9 +230,9 @@ def _divisors_from_factors(factors: tuple[tuple[int, int], ...]) -> tuple[int, .
     return tuple(sorted(out))
 
 
-def divisors(n: int | FactoredInteger) -> tuple[int, ...]:
+def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors, ascending."""
-    return _divisors_from_factors(_as_factored(n).factors)
+    return _divisors_from_factors(factorize(n).factors)
 
 
 def nary_gcd(values: Sequence[int]) -> int:
@@ -257,17 +251,17 @@ def nary_lcm(values: Sequence[int]) -> int:
     return reduce(math.lcm, values)
 
 
-def mobius(n: int | FactoredInteger) -> int:
+def mobius(n: int) -> int:
     """Mobius function of a positive integer."""
-    fi = _as_factored(n)
+    fi = factorize(n)
     if any(e >= 2 for _, e in fi.factors):
         return 0
     return -1 if len(fi.factors) % 2 else 1
 
 
-def euler_phi(n: int | FactoredInteger) -> int:
+def euler_phi(n: int) -> int:
     """Euler totient of a positive integer."""
-    fi = _as_factored(n)
+    fi = factorize(n)
     out = 1
     for prime, exponent in fi.factors:
         out *= prime ** (exponent - 1) * (prime - 1)

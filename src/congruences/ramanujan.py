@@ -1,4 +1,4 @@
-"""Ramanujan sums, even functions and their divisor-sum transforms over Z.
+"""Ramanujan sums and the E/J counting functions over Z.
 
 The sums are written once for both rings in `systems`, in integers only (no
 complex exponentials anywhere); the functions here are their Z entry points.
@@ -6,11 +6,9 @@ complex exponentials anywhere); the functions here are their Z entry points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping
 
-from .intarith import divisors, nary_lcm
+from .intarith import nary_lcm
 from .systems import INT, _e_value, _j_value, _ramanujan_divisor_sum, _ramanujan_sum
 
 
@@ -27,33 +25,6 @@ def ramanujan_c(m: int, a: int) -> int:
     if m < 1:
         raise ValueError("modulus must be positive")
     return _ramanujan_sum(INT, m, a)
-
-
-@dataclass(frozen=True)
-class EvenFunctionTable:
-    """An r-even function, stored by its values on the divisors of the period."""
-
-    period: int
-    values: Mapping[int, int]
-
-    def __post_init__(self) -> None:
-        if self.period < 1:
-            raise ValueError("period must be positive")
-        expected = set(divisors(self.period))
-        if set(self.values) != expected:
-            raise ValueError("values must be keyed by exactly the divisors of the period")
-
-    def __call__(self, b: int) -> int:
-        return self.values[math.gcd(b, self.period)]
-
-
-def even_dft(f: EvenFunctionTable, b: int) -> int:
-    """Discrete Fourier transform of an r-even function at b.
-
-    Computed as the divisor sum of f(d) * C_{r/d}(b); exact, no roots of unity.
-    """
-    r = f.period
-    return sum(f.values[d] * ramanujan_c(r // d, b) for d in divisors(r))
 
 
 @dataclass(frozen=True)

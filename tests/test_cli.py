@@ -244,6 +244,39 @@ def test_phi_subcommand(capsys):
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
+def test_scalar_subcommands_on_edge_inputs(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal
+
+    def value(v: str) -> str:
+        return '{\n  "schema": "1",\n  "value": "%s"\n}\n' % v
+
+    eta_help = (
+        "usage: congruences eta [-h] p g h\n\npositional arguments:\n  p\n  g\n  h\n\n"
+        "options:\n  -h, --help  show this help message and exit\n"
+    )
+    for argv, code, out, err in (
+        (("ramanujan", "0", "1"), 1, "", "error: modulus must be positive\n"),
+        (("ramanujan", "6", "-3"), 0, value("-2"), ""),
+        (("eta", "3", "1", "0"), 1, "", "error: modulus must be nonzero\n"),
+        (("phi", "0"), 1, "", "error: phi expects a positive integer\n"),
+        (("phi", "3", "0"), 1, "", "error: phi expects a nonzero polynomial\n"),
+        # A polynomial starting with "-" is a value, not an unknown option.
+        (("eta", "3", "-t", "t^2"), 0, value("-3"), ""),
+        (("eta", "3", "t", "-t^2"), 0, value("-3"), ""),
+        (("phi", "3", "-t"), 0, value("2"), ""),
+        (("phi", "-5"), 1, "", "error: phi expects a positive integer\n"),
+        (("eta", "-h"), 0, eta_help, ""),
+        (("eta", "4", "t", "t^2"), 1, "", "error: field order must be a prime number\n"),
+        (("phi", "4", "t"), 1, "", "error: field order must be a prime number\n"),
+    ):
+        try:
+            got = run_cli(list(argv))
+        except SystemExit as exc:  # --help exits from inside argparse
+            got = exc.code
+        captured = capsys.readouterr()
+        assert (got, captured.out, captured.err) == (code, out, err), argv
+
+
 def test_strong_pseudoprime_psi12_is_composite(capsys, tmp_path):
     # 399165290221 * 798330580441 passes Miller-Rabin to every base up to 37.
     psi12 = "318665857834031151167461"

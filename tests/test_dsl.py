@@ -35,7 +35,6 @@ def test_sample_corpus_present():
 
 def test_parse_integer_document():
     doc = parse_system("mod 12: 2*x1 + 2*x2 = 2\nmod 35: 5*x1 + 7*x2 = 1\n")
-    assert doc.mode == "integer"
     assert doc.field_order is None
     assert doc.variables == ("x1", "x2")
     assert doc.congruences[0].modulus == 12
@@ -60,7 +59,6 @@ def test_parse_polynomial_document():
         "gcd(x2, t + 1) = 1\n"
     )
     doc = parse_system(text)
-    assert doc.mode == "polynomial"
     assert doc.field_order == 3
     field = PrimeField(3)
     system = build_system(doc)

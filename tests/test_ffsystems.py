@@ -7,13 +7,11 @@ import pytest
 
 from congruences import (
     CapExceededError,
-    CharacterExponent,
     GFPolynomial,
     HypothesisError,
     PolyCongruenceSystem,
     PolyRestrictionTable,
     PrimeField,
-    char_exponent,
     crt_poly,
     enumerate_solutions_ff,
     eta,
@@ -71,17 +69,7 @@ def test_char_exponent_additive():
         g = random_poly(rng, field, rng.randrange(0, 3))
         a = random_poly(rng, field, rng.randrange(0, 3))
         b = random_poly(rng, field, rng.randrange(0, 3))
-        lhs = char_exponent(g, h, a + b).value
-        rhs = (char_exponent(g, h, a).value + char_exponent(g, h, b).value) % 5
-        assert lhs == rhs
-
-
-def test_character_exponent_validation():
-    CharacterExponent(2, 3)
-    with pytest.raises(ValueError):
-        CharacterExponent(3, 3)
-    with pytest.raises(ValueError):
-        CharacterExponent(-1, 3)
+        assert tau(g * (a + b), h) == (tau(g * a, h) + tau(g * b, h)) % 5
 
 
 def test_eta_special_values():

@@ -207,10 +207,3 @@ def test_lcm_of_cofactors_identity():
         m = rng.randrange(2, 400)
         ds = [rng.choice(divisors(m)) for _ in range(rng.randrange(1, 4))]
         assert nary_lcm(tuple(m // d for d in ds)) == m // nary_gcd(tuple(ds))
-
-
-def test_accepts_prefactored_arguments():
-    f = factorize(360)
-    assert euler_phi(f) == euler_phi(360)
-    assert mobius(f) == mobius(360)
-    assert divisors(f) == divisors(360)

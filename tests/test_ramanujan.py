@@ -1,4 +1,4 @@
-"""Tests for Ramanujan sums, even-function transforms, and the E/J counts."""
+"""Tests for Ramanujan sums and the E/J counts."""
 
 import math
 import random
@@ -6,12 +6,10 @@ import random
 import pytest
 
 from congruences import (
-    EvenFunctionTable,
     MultiIndex,
     divisors,
     e_function,
     euler_phi,
-    even_dft,
     j_function,
     mobius,
     ramanujan_c,
@@ -96,34 +94,6 @@ def test_ramanujan_agrees_with_cyclotomic_unit_sum():
         values = {d: (1 if d == 1 else 0) for d in divisors(m)}
         for a in range(m):
             assert ramanujan_c(m, a) == cyclotomic_dft(values, m, a)
-
-
-def test_even_function_table_validation():
-    with pytest.raises(ValueError):
-        EvenFunctionTable(12, {1: 1})  # missing divisors
-    with pytest.raises(ValueError):
-        EvenFunctionTable(12, {d: 0 for d in (1, 2, 3, 4, 5, 6, 12)})
-    table = EvenFunctionTable(12, {d: d for d in (1, 2, 3, 4, 6, 12)})
-    assert table(5) == 1
-    assert table(8) == 4
-    assert table(-3) == 3
-
-
-def test_even_dft_unit_indicator_gives_ramanujan():
-    r = 210
-    table = EvenFunctionTable(r, {d: (1 if d == 1 else 0) for d in divisors(r)})
-    for b in (0, 1, 37, 105):
-        assert even_dft(table, b) == ramanujan_c(r, b)
-
-
-def test_even_dft_matches_cyclotomic_oracle():
-    rng = random.Random(23)
-    for _ in range(40):
-        r = rng.randrange(1, 61)
-        values = {d: rng.randrange(-5, 6) for d in divisors(r)}
-        table = EvenFunctionTable(r, values)
-        for b in range(r + 1):
-            assert even_dft(table, b) == cyclotomic_dft(values, r, b)
 
 
 def test_multi_index_validation():

@@ -10,6 +10,15 @@ carried columns. Every pivot is a minimal-absolute-value nonzero entry, of the
 remaining block at the start of a step and of the pivot's row or column after
 each round of nearest-integer reduction; ties go by position, so the run is
 deterministic.
+
+The count of a system A x = b (mod m_i in row i) needs the invariant factors
+of the lifted matrix D A, D = diag(m/m_i), whose entries run to hundreds of
+digits. It first reduces the unlifted A by column operations alone, with the
+same Euclid step, to A V = [B | 0] with B in column echelon form. V is
+unimodular and column operations commute with the row scaling,
+D (A V) = (D A) V, so the lifted D B has the invariant factors of D A and is
+what gets diagonalized. B ends with small entries, often the identity up to
+signs, so that takes far fewer operations on long integers.
 """
 
 from __future__ import annotations
@@ -55,14 +64,40 @@ def lift_to_common_modulus(
     system: CongruenceSystem,
 ) -> tuple[Matrix, tuple[int, ...], int]:
     """Scale row i by m/m_i so every congruence holds modulo m = lcm(moduli)."""
-    m = nary_lcm(system.moduli)
-    matrix = []
-    rhs = []
-    for row, b_i, m_i in zip(system.coefficients, system.rhs, system.moduli):
-        scale = m // m_i
-        matrix.append(tuple(a * scale for a in row))
-        rhs.append(b_i * scale)
-    return tuple(matrix), tuple(rhs), m
+    rows, m = _lift_rows(
+        [(*row, b_i) for row, b_i in zip(system.coefficients, system.rhs)], system.moduli
+    )
+    return tuple(tuple(row[:-1]) for row in rows), tuple(row[-1] for row in rows), m
+
+
+def _lift_rows(
+    rows: Sequence[Sequence[int]], moduli: Sequence[int]
+) -> tuple[list[list[int]], int]:
+    """Row i of rows scaled by m/m_i, with m = lcm(moduli); return them and m."""
+    m = nary_lcm(moduli)
+    return [[x * (m // m_i) for x in row] for row, m_i in zip(rows, moduli)], m
+
+
+def _clear_row(rest: list[list[int]], t: int, j: int, n: int) -> None:
+    """Euclid along rest[0] with column operations on the rows of rest.
+
+    Column j, one with a nonzero entry of rest[0] among columns t..n-1, moves
+    to column t; the entries of columns t+1..n-1 are reduced by it with
+    nearest-integer quotients; the smallest remainder becomes the next j, until
+    only column t of rest[0] is nonzero there. Rows of the matrix not in rest
+    must be zero in columns t..n-1, so the operations skip them.
+    """
+    top = rest[0]
+    while j is not None:
+        for row in rest:
+            row[t], row[j] = row[j], row[t]
+        p = top[t]
+        for j in range(t + 1, n):
+            if top[j]:
+                q = (2 * top[j] + p) // (2 * p)
+                for row in rest:
+                    row[j] -= q * row[t]
+        j = min(((abs(top[j]), j) for j in range(t + 1, n) if top[j]), default=(0, None))[1]
 
 
 def _diagonalize(a: list[list[int]], k: int, n: int) -> list[int]:
@@ -72,13 +107,13 @@ def _diagonalize(a: list[list[int]], k: int, n: int) -> list[int]:
     Columns past n ride along with the row operations, and rows past k (which
     need only n entries) with the column operations. Each step takes the
     smallest nonzero entry of the remaining block as pivot. It runs Euclid
-    along the pivot row with column operations (the rows above it are zero
-    there and are skipped) until the row is clear, then clears the column with
-    row operations, which change only the column and the carried entries. A
-    remainder left in the column is smaller than the pivot, so it moves up and
-    the step repeats. If the pivot then fails to divide some entry of the
-    remaining block, that entry's row is added to the pivot row and the step
-    goes on, so e_1 | e_2 | ... holds.
+    along the pivot row with column operations (`_clear_row`; the rows above
+    it are zero there and are skipped) until the row is clear, then clears the
+    column with row operations, which change only the column and the carried
+    entries. A remainder left in the column is smaller than the pivot, so it
+    moves up and the step repeats. If the pivot then fails to divide some
+    entry of the remaining block, that entry's row is added to the pivot row
+    and the step goes on, so e_1 | e_2 | ... holds.
     """
     carried = range(n, len(a[0]))
     t = 0
@@ -92,17 +127,8 @@ def _diagonalize(a: list[list[int]], k: int, n: int) -> list[int]:
         _, i, j = pivot
         while i is not None:
             a[t], a[i] = a[i], a[t]
-            top, rest = a[t], a[t:]
-            while j is not None:
-                for row in rest:
-                    row[t], row[j] = row[j], row[t]
-                p = top[t]
-                for j in range(t + 1, n):
-                    if top[j]:
-                        q = (2 * top[j] + p) // (2 * p)
-                        for row in rest:
-                            row[j] -= q * row[t]
-                j = min(((abs(top[j]), j) for j in range(t + 1, n) if top[j]), default=(0, None))[1]
+            _clear_row(a[t:], t, j, n)
+            top = a[t]
             if top[t] < 0:
                 a[t] = top = [-x for x in top]
             p = top[t]
@@ -142,23 +168,62 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
     )
 
 
+def _reduce_columns(a: list[list[int]], n: int) -> int:
+    """Reduce the rows a, n entries each, in place by unimodular column
+    operations to column echelon form; return the number r of pivot columns.
+
+    A column pointer c starts at 0. Each row that is nonzero in columns c..n-1
+    is cleared there by Euclid (`_clear_row`), which leaves its pivot in column
+    c; the entries of that row left of the pivot are then reduced by it with
+    nearest-integer quotients, and c moves on. Rows that are zero in columns
+    c..n-1 are passed over, and the reduction stops once c reaches n.
+    Columns r..n-1 end all zero.
+    """
+    c = 0
+    for i, top in enumerate(a):
+        if c == n:
+            break
+        j = min(((abs(top[j]), j) for j in range(c, n) if top[j]), default=(0, None))[1]
+        if j is None:
+            continue
+        rest = a[i:]
+        _clear_row(rest, c, j, n)
+        p = top[c]
+        for j in range(c):
+            if top[j]:
+                q = (2 * top[j] + p) // (2 * p)
+                for row in rest:
+                    row[j] -= q * row[c]
+        c += 1
+    return c
+
+
 def butson_stewart_count(system: CongruenceSystem) -> CountReport:
     """Invariant-factor count of solutions modulo m = lcm(moduli).
 
-    Lift every row to the common modulus and diagonalize, U A V =
-    diag(e_1, ..., e_r), carrying the rhs b through the row operations. The
-    system is solvable iff gcd(e_i, m) divides (U b)_i for i <= r and
-    (U b)_i = 0 mod m for i > r; then the count is the product of the
-    gcd(e_i, m) times m^(n - r). Any shape: k > n and rank-deficient lifted
-    matrices included.
+    Row i of the system holds modulo m once it is scaled by m/m_i: D A x = D b
+    with D = diag(m/m_i). A is first reduced by unimodular column operations,
+    A V = [B | 0] with B of r = rank A columns (`_reduce_columns`). Column
+    operations commute with the row scaling, D (A V) = (D A) V, and V is
+    unimodular, so D B has the invariant factors of the lifted matrix D A.
+    B is in column echelon form with small entries, often the identity up to
+    signs, so diagonalizing D B takes far fewer operations on the long
+    entries of D than diagonalizing D A would. D B is diagonalized,
+    U D B W = diag(e_1, ..., e_r), carrying D b through the row operations.
+    The system is solvable iff gcd(e_i, m) divides (U D b)_i for i <= r and
+    (U D b)_i = 0 mod m for i > r; then the count is the product of the
+    gcd(e_i, m) times m^(n - r). Any shape: k > n and rank-deficient matrices
+    included.
     """
-    matrix, rhs, m = lift_to_common_modulus(system)
-    augmented = [[*row, b_i] for row, b_i in zip(matrix, rhs)]
-    factors = _diagonalize(augmented, system.k, system.n)
+    reduced = [list(row) for row in system.coefficients]
+    r = _reduce_columns(reduced, system.n)
+    augmented, m = _lift_rows(
+        [[*row[:r], b_i] for row, b_i in zip(reduced, system.rhs)], system.moduli
+    )
+    factors = _diagonalize(augmented, system.k, r)
     _check_chain(factors)
     transformed = [row[-1] for row in augmented]
     factor_gcds = [math.gcd(e_i, m) for e_i in factors]
-    r = len(factors)
     solvable = all(c % g == 0 for c, g in zip(transformed, factor_gcds)) and all(
         c % m == 0 for c in transformed[r:]
     )

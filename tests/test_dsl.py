@@ -6,7 +6,6 @@ import pytest
 
 from congruences import (
     CongruenceSystem,
-    GFPolynomial,
     HypothesisError,
     ParseError,
     PolyCongruenceSystem,

@@ -216,7 +216,9 @@ def test_butson_stewart_vs_enumeration_non_coprime():
 
 def test_butson_stewart_every_shape():
     # Solvable and unsolvable cases of an overdetermined system, a
-    # rank-deficient one and one with duplicate rows.
+    # rank-deficient one (zero row), one with duplicate rows, the all-zero
+    # matrix, zero columns, negative coefficients and a tall system of rank 1,
+    # where the column reduction drops columns or passes over rows.
     systems = [
         CongruenceSystem(((1,), (1,)), (2, 3), (0, 0)),
         CongruenceSystem(((1,), (1,)), (2, 3), (1, 2)),
@@ -225,10 +227,17 @@ def test_butson_stewart_every_shape():
         CongruenceSystem(((0, 0), (1, 1)), (2, 3), (1, 0)),
         CongruenceSystem(((1, 1), (1, 1)), (2, 2), (0, 0)),
         CongruenceSystem(((1, 1), (1, 1)), (2, 2), (0, 1)),
+        CongruenceSystem(((0, 0), (0, 0)), (4, 6), (0, 0)),
+        CongruenceSystem(((0, 0), (0, 0)), (4, 6), (0, 3)),
+        CongruenceSystem(((2, 0), (3, 0)), (4, 6), (2, 3)),
+        CongruenceSystem(((0, 2, 0), (0, 3, 0)), (4, 6), (2, 1)),
+        CongruenceSystem(((-3, 5, -2), (4, -6, 0)), (8, 10), (-1, 4)),
+        CongruenceSystem(((-3, 5, -2), (4, -6, 0)), (8, 10), (-1, 3)),
+        CongruenceSystem(((2, -2), (-4, 4), (6, -6)), (4, 8, 12), (2, 4, 6)),
     ]
     counts = [butson_stewart_count(system).count for system in systems]
     assert counts == [enumerate_solutions(system)[0] for system in systems]
-    assert counts == [1, 1, 0, 12, 0, 2, 0]
+    assert counts == [1, 1, 0, 12, 0, 2, 0, 144, 0, 72, 0, 1600, 0, 288]
 
 
 def snf_wide_system(rng, k):
@@ -248,8 +257,10 @@ def snf_wide_system(rng, k):
 
 
 def test_butson_stewart_on_wide_lifted_systems():
+    # The count diagonalizes the column-reduced matrix; its factors must be
+    # those of the raw lifted matrix.
     rng = random.Random(44)
-    for k in range(4, 9):
+    for k in range(4, 15):
         for _ in range(2):
             system = snf_wide_system(rng, k)
             matrix, _, m = lift_to_common_modulus(system)
@@ -262,9 +273,11 @@ def test_butson_stewart_on_wide_lifted_systems():
 
 
 def test_butson_stewart_tall_system_needs_the_divisibility_fix_up():
-    # Lifted to m = 6 the matrix is ((2, 0), (0, 3), (2, 2)). The first pivot
-    # 2 clears its row and column and leaves 3 and 2 below it, and 2 does not
-    # divide 3: without the fix-up the diagonal would not be a chain.
+    # The column reduction leaves the coefficients as they are, so both the
+    # count and smith_normal_form diagonalize the lifted matrix
+    # ((2, 0), (0, 3), (2, 2)). The first pivot 2 clears its row and column
+    # and leaves 3 and 2 below it, and 2 does not divide 3: without the
+    # fix-up the diagonal would not be a chain.
     system = CongruenceSystem(((1, 0), (0, 1), (2, 2)), (3, 2, 6), (1, 0, 2))
     matrix, _, _ = lift_to_common_modulus(system)
     assert matrix == ((2, 0), (0, 3), (2, 2))

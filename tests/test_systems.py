@@ -2,7 +2,6 @@
 
 import math
 import random
-from itertools import product
 
 import pytest
 

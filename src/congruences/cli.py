@@ -120,42 +120,33 @@ def _divisor_table_text(table: DivisorTable, indent: str) -> str:
 def _write_json(value: Any, indent: str, out: list[str]) -> None:
     """Append value to out as json.dumps(value, sort_keys=True, indent=2)
     writes it at the nesting of indent, with GFPolynomial values as their
-    canonical text. A DivisorTable is written from its columns, one template
-    per row (`_divisor_table_text`); every other list takes the generic
-    path. Plain ints are written in place rather than by a recursive call."""
+    canonical text. Dicts and lists share one loop over (prefix, item)
+    pairs, where a dict's prefix is its quoted key. A DivisorTable is written
+    from its columns, one template per row (`_divisor_table_text`). Plain
+    ints are written in place rather than by a recursive call."""
     if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{\n" + inner
-        for key in sorted(value):
-            item = value[key]
-            if type(item) is int:
-                out.append(sep + _quote(key) + ": " + repr(item))
-            else:
-                out.append(sep + _quote(key) + ": ")
-                _write_json(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "}")
+        brackets, pairs = "{}", [(_quote(key) + ": ", value[key]) for key in sorted(value)]
     elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        sep = "[\n" + inner
-        for item in value:
-            if type(item) is int:
-                out.append(sep + repr(item))
-            else:
-                out.append(sep)
-                _write_json(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "]")
+        brackets, pairs = "[]", [("", item) for item in value]
     elif isinstance(value, DivisorTable):
         out.append(_divisor_table_text(value, indent) if value else "[]")
+        return
     else:
         out.append(_json_scalar(value))
+        return
+    if not pairs:
+        out.append(brackets)
+        return
+    inner = indent + "  "
+    sep = brackets[0] + "\n" + inner
+    for prefix, item in pairs:
+        if type(item) is int:
+            out.append(sep + prefix + repr(item))
+        else:
+            out.append(sep + prefix)
+            _write_json(item, inner, out)
+        sep = ",\n" + inner
+    out.append("\n" + indent + brackets[1])
 
 
 def _emit(payload: dict[str, Any]) -> None:

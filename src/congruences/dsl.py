@@ -16,19 +16,20 @@ expr is a polynomial in t (terms c, t, c*t^k, t^k with k at most 10^6, joined
 by + and -, with an optional leading -), and a coefficient may additionally be
 a parenthesized polynomial. "#" starts a comment to end of line; whitespace
 is otherwise insignificant. Parsing stops at the first error, reported with
-its position.
+its position. The whole text is tokenized first, so an unexpected character
+or an over-long number anywhere is reported before any syntax error.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Any, Callable, Iterator, NamedTuple, NoReturn
 
 from .errors import CongruenceError, HypothesisError
 from .ffsystems import PolyCongruenceSystem, PolyRestrictionTable, PolyRing
 from .gfpoly import GFPolynomial, PrimeField
-from .intarith import is_probable_prime
 from .systems import INT, CongruenceSystem, IntRing, RestrictionTable
 
 _VARIABLE_RE = re.compile(r"x\d+")
@@ -106,7 +107,7 @@ class SystemDocument:
     restrictions: tuple[RestrictionLine, ...]
     variables: tuple[str, ...]
 
-    @property
+    @cached_property
     def ring(self) -> IntRing | PolyRing:
         """The ring the document's values live in."""
         return INT if self.field_order is None else PolyRing(PrimeField(self.field_order))
@@ -135,6 +136,10 @@ def _tokenize(text: str) -> tuple[list[Token], list[str]]:
 
 
 class _Parser:
+    """Recursive descent over the whole token list, which ends in one "eof"
+    token that no rule consumes. Ident, int and symbol tokens never share a
+    text, so one text comparison tells what a token is."""
+
     def __init__(self, text: str, field: PrimeField | None = None):
         self.tokens, self.lines = _tokenize(text)
         self.pos = 0
@@ -143,77 +148,58 @@ class _Parser:
 
     # token plumbing
 
-    def _tok(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def _at(self, text: str, offset: int = 0) -> bool:
+        return self.tokens[self.pos + offset].text == text
 
     def _advance(self) -> Token:
-        tok = self._tok()
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
-    def _fail(self, message: str, token: Token | None = None) -> NoReturn:
-        tok = token if token is not None else self._tok()
-        self._fail_at(message, (tok.line, tok.column))
+    def _fail(self, message: str, at: Token | tuple[int, int] | None = None) -> NoReturn:
+        """Raise at a token, a (line, column) span, or the current token; a
+        token ends with its line and column."""
+        line, column = (at or self.tokens[self.pos])[-2:]
+        raise ParseError(Diagnostic(message, line, column, self.lines[line - 1]))
 
-    def _fail_at(self, message: str, span: tuple[int, int]) -> NoReturn:
-        line, column = span
-        excerpt = self.lines[line - 1] if 0 < line <= len(self.lines) else ""
-        raise ParseError(Diagnostic(message, line, column, excerpt))
-
-    def _at_sym(self, sym: str, offset: int = 0) -> bool:
-        tok = self._tok(offset)
-        return tok.kind == "sym" and tok.text == sym
-
-    def _at_ident(self, name: str, offset: int = 0) -> bool:
-        tok = self._tok(offset)
-        return tok.kind == "ident" and tok.text == name
-
-    def _expect_sym(self, sym: str, what: str | None = None) -> Token:
-        if not self._at_sym(sym):
-            self._fail(what or f"expected {sym!r}")
+    def _expect(self, text: str, message: str) -> Token:
+        if self.tokens[self.pos].text != text:
+            self._fail(message)
         return self._advance()
 
     # literals and expressions
 
     def _int_literal(self, what: str) -> int:
-        tok = self._tok()
-        if tok.kind != "int":
+        if self.tokens[self.pos].kind != "int":
             self._fail(f"expected {what}")
-        self._advance()
-        return int(tok.text)
+        return int(self._advance().text)
 
     def _signed(self, item: Callable[[], Any]) -> Iterator[tuple[bool, Any]]:
         """(negated, item) for each item of ["-"] item (("+" | "-") item)*."""
-        negate = self._at_sym("-")
-        if negate:
-            self._advance()
+        negate = self._at("-")
+        self.pos += negate
         while True:
             yield negate, item()
-            if not (self._at_sym("+") or self._at_sym("-")):
+            if not (self._at("+") or self._at("-")):
                 return
             negate = self._advance().text == "-"
 
     def _poly_atom(self) -> GFPolynomial:
         assert self.field is not None
-        tok = self._tok()
         coeff = 1
         power = 0
-        if tok.kind == "int":
-            coeff = int(tok.text)
-            self._advance()
-            if self._at_sym("*") and self._at_ident("t", 1):
-                self._advance()
-                self._advance()
+        if self.tokens[self.pos].kind == "int":
+            coeff = int(self._advance().text)
+            if self._at("*") and self._at("t", 1):
+                self.pos += 2
                 power = 1
-        elif self._at_ident("t"):
-            self._advance()
+        elif self._at("t"):
+            self.pos += 1
             power = 1
         else:
             self._fail("expected a polynomial term")
-        if power == 1 and self._at_sym("^"):
-            self._advance()
-            exponent_tok = self._tok()
+        if power == 1 and self._at("^"):
+            self.pos += 1
+            exponent_tok = self.tokens[self.pos]
             power = self._int_literal("an integer exponent")
             if power > _MAX_EXPONENT:
                 self._fail(f"exponent exceeds the limit {_MAX_EXPONENT}", exponent_tok)
@@ -231,69 +217,67 @@ class _Parser:
         polynomial sum, always signable."""
         if self.field is not None:
             return self._poly_sum()
-        if self._at_ident("t"):
+        if self._at("t"):
             self._fail(_NEEDS_HEADER)
-        negate = signed and self._at_sym("-")
-        if negate:
-            self._advance()
+        negate = signed and self._at("-")
+        self.pos += negate
         value = self._int_literal(what)
         return -value if negate else value
 
-    def _variable(self) -> tuple[str, Token]:
-        tok = self._tok()
-        if tok.kind == "ident" and self.field is None and tok.text == "t":
+    def _variable(self) -> str:
+        text = self.tokens[self.pos].text
+        if text == "t" and self.field is None:
             self._fail(_NEEDS_HEADER)
-        if tok.kind != "ident" or not _VARIABLE_RE.fullmatch(tok.text):
+        if not _VARIABLE_RE.fullmatch(text):
             self._fail("expected a variable like x1")
-        self._advance()
-        canonical = f"x{int(tok.text[1:])}"
-        return canonical, tok
+        self.pos += 1
+        return f"x{int(text[1:])}"
 
     # statements
 
     def _header(self) -> PrimeField:
-        self._advance()  # "field"
-        if not self._at_ident("GF"):
-            self._fail("expected 'GF' after 'field'")
-        self._advance()
-        self._expect_sym("(", "expected '(' after 'GF'")
-        order_tok = self._tok()
+        self.pos += 1  # "field"
+        self._expect("GF", "expected 'GF' after 'field'")
+        self._expect("(", "expected '(' after 'GF'")
+        order_tok = self.tokens[self.pos]
         order = self._int_literal("a prime field order")
-        if not is_probable_prime(order):
+        try:
+            field = PrimeField(order)
+        except ValueError:
             self._fail(f"field order {order} is not prime", order_tok)
-        self._expect_sym(")", "expected ')' after the field order")
-        return PrimeField(order)
+        self._expect(")", "expected ')' after the field order")
+        return field
 
     def _term(self) -> tuple[object, str]:
-        tok = self._tok()
-        if tok.kind == "ident" and _VARIABLE_RE.fullmatch(tok.text):
-            return self.ring.one, self._variable()[0]
+        tok = self.tokens[self.pos]
+        if _VARIABLE_RE.fullmatch(tok.text):
+            return self.ring.one, self._variable()
         if self.field is None:
             coeff = self._expr("a term like 3*x1 or x1", signed=False)
-        elif self._at_sym("("):
-            self._advance()
+        elif self._at("("):
+            self.pos += 1
             coeff = self._poly_sum()
-            self._expect_sym(")", "expected ')' after the coefficient")
-        elif tok.kind == "int" or self._at_ident("t"):
+            self._expect(")", "expected ')' after the coefficient")
+        elif tok.kind == "int" or tok.text == "t":
             coeff = self._poly_atom()
         else:
             self._fail("expected a term like 3*x1, (t + 1)*x1 or x1")
-        self._expect_sym("*", "expected '*' between coefficient and variable")
-        return coeff, self._variable()[0]
+        self._expect("*", "expected '*' between coefficient and variable")
+        return coeff, self._variable()
 
     def _congruence(self) -> CongruenceLine:
-        self._advance()  # "mod"
-        modulus_tok = self._tok()
+        self.pos += 1  # "mod"
+        modulus_tok = self.tokens[self.pos]
         modulus = self._expr("a modulus", signed=False)
         if self.ring.norm(modulus) < 2:
             self._fail(f"modulus must be {self.ring.modulus_rule}", modulus_tok)
-        self._expect_sym(":", "expected ':' after the modulus")
+        self._expect(":", "expected ':' after the modulus")
         combined: dict[str, object] = {}
         for negate, (coeff, name) in self._signed(self._term):
             if negate:
                 coeff = -coeff  # type: ignore[operator]
             combined[name] = combined.get(name, self.ring.zero) + coeff  # type: ignore[operator]
-        self._expect_sym("=", "expected '=' after the linear combination")
+        self._expect("=", "expected '=' after the linear combination")
         rhs = self._expr("an integer") % modulus  # type: ignore[operator]
         terms = tuple(
             (combined[name] % modulus, name)  # type: ignore[operator]
@@ -303,14 +287,15 @@ class _Parser:
 
     def _restriction(self) -> RestrictionLine:
         start = self._advance()  # "gcd"
-        self._expect_sym("(", "expected '(' after 'gcd'")
-        name, var_tok = self._variable()
-        self._expect_sym(",", "expected ',' after the variable")
-        modulus_tok = self._tok()
+        self._expect("(", "expected '(' after 'gcd'")
+        var_tok = self.tokens[self.pos]
+        name = self._variable()
+        self._expect(",", "expected ',' after the variable")
+        modulus_tok = self.tokens[self.pos]
         modulus = self._expr("a modulus", signed=False)
-        self._expect_sym(")", "expected ')' after the modulus")
-        self._expect_sym("=", "expected '=' after 'gcd(...)'")
-        value_tok = self._tok()
+        self._expect(")", "expected ')' after the modulus")
+        self._expect("=", "expected '=' after 'gcd(...)'")
+        value_tok = self.tokens[self.pos]
         value = self._expr("a restriction value")
         if self.ring.norm(value) < 1:  # type: ignore[arg-type]
             rule = "positive" if self.field is None else "nonzero"
@@ -325,15 +310,15 @@ class _Parser:
         )
 
     def document(self) -> SystemDocument:
-        if self._at_ident("field"):
+        if self._at("field"):
             self.field = self._header()
             self.ring = PolyRing(self.field)
         congruences: list[CongruenceLine] = []
         restrictions: list[RestrictionLine] = []
-        while self._tok().kind != "eof":
-            if self._at_ident("mod"):
+        while self.tokens[self.pos].kind != "eof":
+            if self._at("mod"):
                 congruences.append(self._congruence())
-            elif self._at_ident("gcd"):
+            elif self._at("gcd"):
                 restrictions.append(self._restriction())
             else:
                 self._fail("expected 'mod' or 'gcd'")
@@ -349,19 +334,18 @@ class _Parser:
         seen: set[tuple[str, object]] = set()
         for r in restrictions:
             if r.variable not in variables:
-                self._fail_at(
-                    f"restriction references undeclared variable {r.variable}",
-                    r.variable_span,
+                self._fail(
+                    f"restriction references undeclared variable {r.variable}", r.variable_span
                 )
             key = ring.normalise(r.modulus)
             if key not in moduli_keys:
-                self._fail_at(
+                self._fail(
                     f"restriction modulus {ring.format(r.modulus)} does not"
                     " match any congruence modulus",
                     r.modulus_span,
                 )
             if (r.variable, key) in seen:
-                self._fail_at(
+                self._fail(
                     f"duplicate restriction for gcd({r.variable}, {ring.format(r.modulus)})",
                     r.span,
                 )
@@ -434,7 +418,7 @@ def parse_poly(text: str, field: PrimeField) -> GFPolynomial:
     try:
         parser = _Parser(text, field)
         poly = parser._poly_sum()
-        if parser._tok().kind != "eof":
+        if parser.tokens[parser.pos].kind != "eof":
             parser._fail("unexpected trailing input")
     except ParseError as exc:
         raise ValueError(f"bad polynomial {text!r}: {exc.diagnostic.message}") from None

@@ -4,8 +4,9 @@ Everything works on plain Python ints (arbitrary precision) and never touches
 floating point. Factorization is trial division up to 10**6 followed by
 Pollard rho, with Miller-Rabin primality checks that are deterministic below
 3.18 * 10**23 and Baillie-PSW above, so results are reproducible across runs.
-Pollard rho works under a step budget, so a number whose factors lie past its
-reach is a CapExceededError, not a hang.
+Pollard rho works under a step budget, and the primality test takes numbers
+of at most 2048 bits, so a number whose factors lie past their reach is a
+CapExceededError, not a hang.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ _RHO_FULL_BITS = 256
 # all of them; above it a strong Lucas test completes Baillie-PSW.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 318665857834031151167461
+# Largest size the test takes on. A prime of 2048 bits takes about half a
+# second (12 Miller-Rabin rounds and a Lucas test), and the cost grows faster
+# than the square of the size.
+_PRIME_BITS = 2048
 
 
 @dataclass(frozen=True)
@@ -63,12 +68,18 @@ class FactoredInteger:
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin to the first 12 prime bases, deterministic below psi_12;
     from psi_12 on, also the strong Lucas test, so it is then at least the
-    Baillie-PSW test, which no composite is known to pass."""
+    Baillie-PSW test, which no composite is known to pass. Past _PRIME_BITS
+    bits, n with no prime factor up to 37 is a CapExceededError."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n.bit_length() > _PRIME_BITS:
+        raise CapExceededError(
+            f"a primality test on a {n.bit_length()}-bit number exceeds the limit"
+            f" of {_PRIME_BITS} bits"
+        )
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -221,18 +232,13 @@ def factorize(n: int) -> FactoredInteger:
     return FactoredInteger(n, tuple(sorted(counts.items())))
 
 
-@lru_cache(maxsize=65536)
-def _divisors_from_factors(factors: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+def divisors(n: int) -> tuple[int, ...]:
+    """All positive divisors, ascending."""
     out = [1]
-    for prime, exponent in factors:
+    for prime, exponent in factorize(n).factors:
         powers = [prime**e for e in range(exponent + 1)]
         out = [d * q for d in out for q in powers]
     return tuple(sorted(out))
-
-
-def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors, ascending."""
-    return _divisors_from_factors(factorize(n).factors)
 
 
 def nary_gcd(values: Sequence[int]) -> int:

@@ -148,6 +148,24 @@ def test_factoring_past_the_rho_budget_exit_code(capsys, monkeypatch):
     assert "factoring a 40-digit composite exceeds the budget" in err
 
 
+def test_primality_past_its_bound_exit_code(capsys, tmp_path):
+    # 4300 ones leave a cofactor of about 14000 bits after trial division;
+    # testing it for primality would take minutes, so it is a cap error.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ramanujan", "1" * 4300, "3")
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (2, "")
+    assert "-bit number exceeds the limit of 2048 bits" in err
+    # A field order goes through the same test, as an argument or a header.
+    mersenne = str(2**2203 - 1)
+    path = tmp_path / "huge_field.cong"
+    path.write_text(f"field GF({mersenne})\nmod t: x1 = 1\n")
+    for argv in (("eta", mersenne, "t", "t"), ("phi", mersenne, "t"), ("count", str(path))):
+        assert run(capsys, *argv) == (
+            2, "", "error: a primality test on a 2203-bit number exceeds the limit of 2048 bits\n"
+        )
+
+
 def test_snf_subcommand(capsys):
     payload = run_json(capsys, "snf", sample("int_system_12_35.cong"))
     assert payload["invariant_factors"] == ["2", "840"]

@@ -250,6 +250,17 @@ def test_first_error_wins():
     with pytest.raises(ParseError) as info:
         parse_system("mod 0: x1 = 1\nmod 0: y = 1\n")
     assert info.value.diagnostic.line == 1
+    # The whole text is tokenized before parsing, so a bad character anywhere
+    # wins over an earlier syntax error; and a term that ends the input after
+    # "*" peeks at the end token, past which there is nothing.
+    for text, message, line, column in (
+        ("mod 0: x1 = 1\n@\n", "unexpected character '@'", 2, 1),
+        ("field GF(3)\nmod t: 2*", "expected a variable like x1", 2, 10),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_system(text)
+        diagnostic = info.value.diagnostic
+        assert (diagnostic.message, diagnostic.line, diagnostic.column) == (message, line, column)
 
 
 def test_samples_build_without_errors():

@@ -101,6 +101,17 @@ def test_is_probable_prime_past_the_witness_bound():
         assert is_probable_prime(n) == sympy.isprime(n)
 
 
+def test_is_probable_prime_size_bound():
+    # Mersenne prime M_2203 lies past the 2048-bit bound, M_1279 within it.
+    assert is_probable_prime(2**1279 - 1)
+    with pytest.raises(CapExceededError, match="a 2203-bit number exceeds the limit of 2048"):
+        is_probable_prime(2**2203 - 1)
+    # A huge number with a prime factor up to 37 is settled without the test.
+    assert not is_probable_prime(3 * 2**5000)
+    with pytest.raises(CapExceededError, match="exceeds the limit of 2048 bits"):
+        factorize(6 * (2**2203 - 1))
+
+
 def test_strong_lucas_pseudoprimes():
     # The strong Lucas test with Selfridge's parameters passes every prime and,
     # below 60000, exactly these composites (OEIS A217255).

@@ -13,12 +13,13 @@ deterministic.
 
 The count of a system A x = b (mod m_i in row i) needs the invariant factors
 of the lifted matrix D A, D = diag(m/m_i), whose entries run to hundreds of
-digits. It first reduces the unlifted A by column operations alone, with the
-same Euclid step, to A V = [B | 0] with B in column echelon form. V is
-unimodular and column operations commute with the row scaling,
+digits. It first brings the columns of the unlifted A, one at a time, into a
+basis B of the lattice they span, kept in Hermite normal form (Kannan and
+Bachem, SIAM J. Comput. 1979; Cohen 1993, section 2.4): A V = [B | 0] with V
+unimodular. Column operations commute with the row scaling,
 D (A V) = (D A) V, so the lifted D B has the invariant factors of D A and is
-what gets diagonalized. B ends with small entries, often the identity up to
-signs, so that takes far fewer operations on long integers.
+what gets diagonalized. B ends with small entries, often the identity, so
+that takes far fewer operations on long integers.
 """
 
 from __future__ import annotations
@@ -78,28 +79,6 @@ def _lift_rows(
     return [[x * (m // m_i) for x in row] for row, m_i in zip(rows, moduli)], m
 
 
-def _clear_row(rest: list[list[int]], t: int, j: int, n: int) -> None:
-    """Euclid along rest[0] with column operations on the rows of rest.
-
-    Column j, one with a nonzero entry of rest[0] among columns t..n-1, moves
-    to column t; the entries of columns t+1..n-1 are reduced by it with
-    nearest-integer quotients; the smallest remainder becomes the next j, until
-    only column t of rest[0] is nonzero there. Rows of the matrix not in rest
-    must be zero in columns t..n-1, so the operations skip them.
-    """
-    top = rest[0]
-    while j is not None:
-        for row in rest:
-            row[t], row[j] = row[j], row[t]
-        p = top[t]
-        for j in range(t + 1, n):
-            if top[j]:
-                q = (2 * top[j] + p) // (2 * p)
-                for row in rest:
-                    row[j] -= q * row[t]
-        j = min(((abs(top[j]), j) for j in range(t + 1, n) if top[j]), default=(0, None))[1]
-
-
 def _diagonalize(a: list[list[int]], k: int, n: int) -> list[int]:
     """Reduce the k x n top-left block of the augmented matrix a in place to
     Smith form; return its positive diagonal e_1 | ... | e_r.
@@ -107,13 +86,16 @@ def _diagonalize(a: list[list[int]], k: int, n: int) -> list[int]:
     Columns past n ride along with the row operations, and rows past k (which
     need only n entries) with the column operations. Each step takes the
     smallest nonzero entry of the remaining block as pivot. It runs Euclid
-    along the pivot row with column operations (`_clear_row`; the rows above
-    it are zero there and are skipped) until the row is clear, then clears the
-    column with row operations, which change only the column and the carried
-    entries. A remainder left in the column is smaller than the pivot, so it
-    moves up and the step repeats. If the pivot then fails to divide some
-    entry of the remaining block, that entry's row is added to the pivot row
-    and the step goes on, so e_1 | e_2 | ... holds.
+    along the pivot row with column operations until the row is clear: the
+    pivot moves to column t, the other entries of the row are reduced by it
+    with nearest-integer quotients, and the smallest remainder is the next
+    pivot. The rows above it are zero in columns t..n-1, so the column
+    operations skip them. It then clears the column with row operations,
+    which change only the column and the carried entries. A remainder left in
+    the column is smaller than the pivot, so it moves up and the step repeats.
+    If the pivot then fails to divide some entry of the remaining block, that
+    entry's row is added to the pivot row and the step goes on, so
+    e_1 | e_2 | ... holds.
     """
     carried = range(n, len(a[0]))
     t = 0
@@ -127,8 +109,18 @@ def _diagonalize(a: list[list[int]], k: int, n: int) -> list[int]:
         _, i, j = pivot
         while i is not None:
             a[t], a[i] = a[i], a[t]
-            _clear_row(a[t:], t, j, n)
-            top = a[t]
+            rest = a[t:]
+            top = rest[0]
+            while j is not None:
+                for row in rest:
+                    row[t], row[j] = row[j], row[t]
+                p = top[t]
+                for j in range(t + 1, n):
+                    if top[j]:
+                        q = (2 * top[j] + p) // (2 * p)
+                        for row in rest:
+                            row[j] -= q * row[t]
+                j = min(((abs(top[j]), j) for j in range(t + 1, n) if top[j]), default=(0, None))[1]
             if top[t] < 0:
                 a[t] = top = [-x for x in top]
             p = top[t]
@@ -168,57 +160,90 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
     )
 
 
-def _reduce_columns(a: list[list[int]], n: int) -> int:
-    """Reduce the rows a, n entries each, in place by unimodular column
-    operations to column echelon form; return the number r of pivot columns.
+def _hermite_basis(matrix: Sequence[Sequence[int]], k: int, n: int) -> list[list[int]]:
+    """The columns of a basis, in Hermite normal form, of the lattice spanned by
+    the columns of the k x n matrix; there are r = rank of them.
 
-    A column pointer c starts at 0. Each row that is nonzero in columns c..n-1
-    is cleared there by Euclid (`_clear_row`), which leaves its pivot in column
-    c; the entries of that row left of the pivot are then reduced by it with
-    nearest-integer quotients, and c moves on. Rows that are zero in columns
-    c..n-1 are passed over, and the reduction stops once c reaches n.
-    Columns r..n-1 end all zero.
+    The columns of the matrix go in one at a time. A column v walks down its
+    nonzero entries. At a row that is no basis column's pivot row, v becomes
+    a basis column there, with its pivot made positive. At basis column b's
+    pivot row, with pivot p, v is first reduced by b with the nearest-integer
+    quotient. If that leaves an entry x != 0 in the pivot row, the unimodular
+    2 x 2 step (b, v) -> (s b + t v, (x/g) b - (p/g) v), where
+    g = gcd(p, x) = s p + t x, leaves the pivot g in b and a zero in v. Then
+    v walks on; a v that runs out of nonzero entries lay in the lattice
+    already. After every change to the basis the entries of the pivot rows
+    are reduced again, so that at all times the basis columns are zero above
+    their pivots and every entry x of a pivot row with pivot p, left of that
+    pivot, has -p <= 2x < p. Only the rows that are no pivot row can hold
+    large entries.
     """
-    c = 0
-    for i, top in enumerate(a):
-        if c == n:
-            break
-        j = min(((abs(top[j]), j) for j in range(c, n) if top[j]), default=(0, None))[1]
-        if j is None:
-            continue
-        rest = a[i:]
-        _clear_row(rest, c, j, n)
-        p = top[c]
-        for j in range(c):
-            if top[j]:
-                q = (2 * top[j] + p) // (2 * p)
-                for row in rest:
-                    row[j] -= q * row[c]
-        c += 1
-    return c
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for j in range(n):
+        v = [row[j] for row in matrix]
+        c = 0
+        for i in range(k):
+            x = v[i]
+            if not x:
+                continue
+            while c < len(pivots) and pivots[c] < i:
+                c += 1
+            inserted = c == len(pivots) or pivots[c] != i
+            if inserted:
+                basis.insert(c, v if x > 0 else [-y for y in v])
+                pivots.insert(c, i)
+            else:
+                b = basis[c]
+                p = b[i]
+                q = (2 * x + p) // (2 * p)
+                if q:
+                    v = [z - q * y for y, z in zip(b, v)]
+                    x = v[i]
+                    if not x:
+                        continue
+                g = math.gcd(p, x)
+                pg, xg = p // g, x // g
+                t = pow(xg, -1, pg)
+                s = (1 - t * xg) // pg
+                basis[c] = [s * y + t * z for y, z in zip(b, v)]
+                v = [xg * y - pg * z for y, z in zip(b, v)]
+            # Column c and the pivot row of column c changed: reduce the
+            # columns up to c at the pivot rows from c's on, top down.
+            for h in range(c + 1):
+                col = basis[h]
+                for b, at in zip(basis[max(h + 1, c) :], pivots[max(h + 1, c) :]):
+                    q = (2 * col[at] + b[at]) // (2 * b[at])
+                    if q:
+                        col = [y - q * z for y, z in zip(col, b)]
+                basis[h] = col
+            if inserted:
+                break
+    return basis
 
 
 def butson_stewart_count(system: CongruenceSystem) -> CountReport:
     """Invariant-factor count of solutions modulo m = lcm(moduli).
 
     Row i of the system holds modulo m once it is scaled by m/m_i: D A x = D b
-    with D = diag(m/m_i). A is first reduced by unimodular column operations,
-    A V = [B | 0] with B of r = rank A columns (`_reduce_columns`). Column
-    operations commute with the row scaling, D (A V) = (D A) V, and V is
-    unimodular, so D B has the invariant factors of the lifted matrix D A.
-    B is in column echelon form with small entries, often the identity up to
-    signs, so diagonalizing D B takes far fewer operations on the long
-    entries of D than diagonalizing D A would. D B is diagonalized,
-    U D B W = diag(e_1, ..., e_r), carrying D b through the row operations.
-    The system is solvable iff gcd(e_i, m) divides (U D b)_i for i <= r and
-    (U D b)_i = 0 mod m for i > r; then the count is the product of the
-    gcd(e_i, m) times m^(n - r). Any shape: k > n and rank-deficient matrices
-    included.
+    with D = diag(m/m_i). The columns of A are first brought into a basis B of
+    the lattice they span, in Hermite normal form (`_hermite_basis`), so
+    A V = [B | 0] with V unimodular and B of r = rank A columns. Column
+    operations commute with the row scaling, D (A V) = (D A) V, so D B has the
+    invariant factors of the lifted matrix D A. The entries of B are reduced
+    by its pivots, and B is often the identity, so diagonalizing D B takes far
+    fewer operations on the long entries of D than diagonalizing D A would.
+    D B is diagonalized, U D B W = diag(e_1, ..., e_r), carrying D b through
+    the row operations. The system is solvable iff gcd(e_i, m) divides
+    (U D b)_i for i <= r and (U D b)_i = 0 mod m for i > r; then the count is
+    the product of the gcd(e_i, m) times m^(n - r). Any shape: k > n and
+    rank-deficient matrices included.
     """
-    reduced = [list(row) for row in system.coefficients]
-    r = _reduce_columns(reduced, system.n)
+    basis = _hermite_basis(system.coefficients, system.k, system.n)
+    r = len(basis)
     augmented, m = _lift_rows(
-        [[*row[:r], b_i] for row, b_i in zip(reduced, system.rhs)], system.moduli
+        [[*(col[i] for col in basis), b_i] for i, b_i in enumerate(system.rhs)],
+        system.moduli,
     )
     factors = _diagonalize(augmented, system.k, r)
     _check_chain(factors)

@@ -13,6 +13,7 @@ from congruences import (
     smith_normal_form,
     system_count,
 )
+from congruences.snf import _hermite_basis
 
 
 def mat_mul(a, b):
@@ -23,14 +24,22 @@ def mat_mul(a, b):
 
 
 def det(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = 0
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1 :] for row in mat[1:])
-        total += (-1) ** j * mat[0][j] * det(minor)
-    return total
+    # Bareiss's fraction-free elimination: every division is exact.
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign, prev = 1, 1
+    for t in range(n - 1):
+        if not a[t][t]:
+            i = next((i for i in range(t + 1, n) if a[i][t]), None)
+            if i is None:
+                return 0
+            a[t], a[i] = a[i], a[t]
+            sign = -sign
+        for i in range(t + 1, n):
+            for j in range(t + 1, n):
+                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
+        prev = a[t][t]
+    return sign * a[-1][-1]
 
 
 def ref_rank(mat):
@@ -56,7 +65,9 @@ def random_unimodular(rng, size, steps):
     return u
 
 
-def check_snf(matrix):
+def check_snf(matrix, reference=True):
+    # reference=False skips sympy, whose rank and invariant factors take
+    # seconds to minutes on lifted matrices past k = 14.
     result = smith_normal_form(matrix)
     u, v = result.transforms
     s = mat_mul(mat_mul(u, matrix), v)
@@ -71,8 +82,9 @@ def check_snf(matrix):
     assert abs(det(v)) == 1
     for e1, e2 in zip(result.invariant_factors, result.invariant_factors[1:]):
         assert e2 % e1 == 0
-    assert result.rank == ref_rank(matrix)
-    assert result.invariant_factors == ref_invariant_factors(matrix)
+    if reference:
+        assert result.rank == ref_rank(matrix)
+        assert result.invariant_factors == ref_invariant_factors(matrix)
     return result
 
 
@@ -257,28 +269,33 @@ def snf_wide_system(rng, k):
 
 
 def test_butson_stewart_on_wide_lifted_systems():
-    # The count diagonalizes the column-reduced matrix; its factors must be
-    # those of the raw lifted matrix.
+    # The count diagonalizes the lift of a Hermite basis of A's columns; its
+    # factors must be those of the raw lifted matrix. Past k = 14 the
+    # reference is smith_normal_form on that matrix, which reduces no columns
+    # first, checked by U D A V = S with U, V unimodular.
     rng = random.Random(44)
-    for k in range(4, 15):
+    for k in range(4, 17):
         for _ in range(2):
             system = snf_wide_system(rng, k)
             matrix, _, m = lift_to_common_modulus(system)
             report = butson_stewart_count(system)
             factors = tuple(report.details["invariant_factors"])
-            assert factors == ref_invariant_factors(matrix)
+            if k <= 14:
+                assert factors == ref_invariant_factors(matrix)
+            if k <= 6 or k > 14:
+                assert check_snf(matrix, reference=k <= 14).invariant_factors == factors
             assert report.details["factor_gcds"] == [math.gcd(e, m) for e in factors]
-            if k <= 6:
-                assert check_snf(matrix).invariant_factors == factors
 
 
 def test_butson_stewart_tall_system_needs_the_divisibility_fix_up():
-    # The column reduction leaves the coefficients as they are, so both the
-    # count and smith_normal_form diagonalize the lifted matrix
-    # ((2, 0), (0, 3), (2, 2)). The first pivot 2 clears its row and column
-    # and leaves 3 and 2 below it, and 2 does not divide 3: without the
-    # fix-up the diagonal would not be a chain.
+    # The columns of A are already a Hermite basis (pivots 1 in rows 0 and 1,
+    # nothing left of them to reduce), so both the count and
+    # smith_normal_form diagonalize the lifted matrix ((2, 0), (0, 3), (2, 2)).
+    # The first pivot 2 clears its row and column and leaves 3 and 2 below
+    # it, and 2 does not divide 3: without the fix-up the diagonal would not
+    # be a chain.
     system = CongruenceSystem(((1, 0), (0, 1), (2, 2)), (3, 2, 6), (1, 0, 2))
+    assert _hermite_basis(system.coefficients, 3, 2) == [[1, 0, 2], [0, 1, 2]]
     matrix, _, _ = lift_to_common_modulus(system)
     assert matrix == ((2, 0), (0, 3), (2, 2))
     report = butson_stewart_count(system)
@@ -287,3 +304,118 @@ def test_butson_stewart_tall_system_needs_the_divisibility_fix_up():
     assert report.count == enumerate_solutions(system)[0]
     unsolvable = CongruenceSystem(system.coefficients, system.moduli, (1, 0, 1))
     assert butson_stewart_count(unsolvable).count == enumerate_solutions(unsolvable)[0]
+
+
+def check_hermite_basis(matrix):
+    """_hermite_basis of matrix: its columns span the column lattice of
+    matrix, and they are in the Hermite normal form its docstring promises."""
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    k, n = len(matrix), len(matrix[0])
+    basis = _hermite_basis(matrix, k, n)
+    r = len(basis)
+    assert r == ref_rank(matrix)
+    pivots = []
+    for col in basis:
+        assert len(col) == k
+        i = next(i for i, x in enumerate(col) if x)
+        assert col[i] > 0
+        pivots.append(i)
+    assert pivots == sorted(set(pivots))
+    for j, col in enumerate(basis):
+        for right, i in zip(basis[j + 1 :], pivots[j + 1 :]):
+            assert -right[i] <= 2 * col[i] < right[i]
+    b = Matrix(k, r, [col[i] for i in range(k) for col in basis])
+    assert hermite_normal_form(Matrix(matrix)) == hermite_normal_form(b)
+    return basis
+
+
+def test_hermite_basis_spans_the_column_lattice():
+    rng = random.Random(46)
+    for k in range(4, 17):
+        check_hermite_basis(snf_wide_system(rng, k).coefficients)
+    # Small matrices of every shape: k > n, zero rows and columns, repeated
+    # rows, negative entries, rank deficiency and the zero matrix.
+    deficient = 0
+    for _ in range(300):
+        k = rng.randrange(1, 6)
+        n = rng.randrange(1, 6)
+        rows = []
+        for _ in range(k):
+            draw = rng.random()
+            if rows and draw < 0.2:
+                rows.append(rng.choice(rows))
+            elif draw < 0.3:
+                rows.append([0] * n)
+            else:
+                rows.append([rng.randrange(-9, 10) for _ in range(n)])
+        if rng.random() < 0.2:
+            zero = rng.randrange(n)
+            for row in rows:
+                row[zero] = 0
+        deficient += len(check_hermite_basis(rows)) < min(k, n)
+    assert deficient >= 50
+    assert _hermite_basis(((0, 0), (0, 0)), 2, 2) == []
+    # Entries that fill the pivot rows: the basis is reduced, (2, 5) and
+    # (0, 7) become (2, -2) and (0, 7).
+    assert _hermite_basis(((2, 0), (5, 7)), 2, 2) == [[2, -2], [0, 7]]
+
+
+def column_changes(rng, rows, steps):
+    """rows times a unimodular W: steps elementary column operations, each
+    adding a multiple of one column to another, swapping two or negating
+    one."""
+    cols = [list(col) for col in zip(*rows)]
+    for _ in range(steps):
+        i, j = rng.sample(range(len(cols)), 2) if len(cols) > 1 else (0, 0)
+        op = rng.randrange(3) if len(cols) > 1 else 2
+        if op == 0:
+            q = rng.choice((-3, -2, -1, 1, 2, 3))
+            cols[i] = [x + q * y for x, y in zip(cols[i], cols[j])]
+        elif op == 1:
+            cols[i], cols[j] = cols[j], cols[i]
+        else:
+            cols[i] = [-x for x in cols[i]]
+    return tuple(zip(*cols))
+
+
+def test_butson_stewart_invariant_under_unimodular_column_changes():
+    # x -> W^-1 x maps the solutions of A x = b onto those of (A W) y = b, and
+    # D A W has the invariant factors of D A.
+    def same_count(system, rng):
+        changed = CongruenceSystem(
+            column_changes(rng, system.coefficients, 3 * system.n), system.moduli, system.rhs
+        )
+        before, after = butson_stewart_count(system), butson_stewart_count(changed)
+        assert (after.count, after.solvable) == (before.count, before.solvable)
+        for key in ("invariant_factors", "factor_gcds"):
+            assert after.details[key] == before.details[key]
+        return changed, after
+
+    rng = random.Random(47)
+    solvable = 0
+    for k in range(4, 17):
+        for _ in range(2):
+            system = snf_wide_system(rng, k)
+            if rng.random() < 0.5:
+                x = [rng.randrange(10**7) for _ in range(system.n)]
+                rhs = tuple(sum(a * y for a, y in zip(row, x)) for row in system.coefficients)
+                system = CongruenceSystem(system.coefficients, system.moduli, rhs)
+            solvable += same_count(system, rng)[1].solvable
+    assert solvable >= 13
+    checked = 0
+    while checked < 150:
+        k = rng.randrange(1, 4)
+        n = rng.randrange(1, 4)
+        moduli = tuple(rng.randrange(2, 13) for _ in range(k))
+        if math.lcm(*moduli) ** n > 3 * 10**5:
+            continue
+        system = CongruenceSystem(
+            tuple(tuple(rng.randrange(-12, 13) for _ in range(n)) for _ in range(k)),
+            moduli,
+            tuple(rng.randrange(-12, 13) for _ in range(k)),
+        )
+        changed, report = same_count(system, rng)
+        assert report.count == enumerate_solutions(changed)[0]
+        checked += 1

@@ -16,8 +16,16 @@ expr is a polynomial in t (terms c, t, c*t^k, t^k with k at most 10^6, joined
 by + and -, with an optional leading -), and a coefficient may additionally be
 a parenthesized polynomial. "#" starts a comment to end of line; whitespace
 is otherwise insignificant. Parsing stops at the first error, reported with
-its position. The whole text is tokenized first, so an unexpected character
-or an over-long number anywhere is reported before any syntax error.
+its position. The whole text is checked for lexical errors first, so an
+unexpected character or an over-long number anywhere is reported before any
+syntax error.
+
+The parser reads the token texts of one regex pass over the text, each
+comment blanked to a space; a token's kind follows from its text. Line and
+column are worked out only for a diagnostic, by a second scan with the same
+token pattern: the lexical check runs it only when a quick search of the
+whole text finds a character that starts no token or a long run of digits,
+and a syntax error runs it up to the offending token.
 """
 
 from __future__ import annotations
@@ -25,7 +33,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from typing import Any, Callable, Iterator, NamedTuple, NoReturn
+from itertools import islice
+from typing import Any, Callable, Iterator, NoReturn
 
 from .errors import CongruenceError, HypothesisError
 from .ffsystems import PolyCongruenceSystem, PolyRestrictionTable, PolyRing
@@ -33,25 +42,29 @@ from .gfpoly import GFPolynomial, PrimeField
 from .systems import INT, CongruenceSystem, IntRing, RestrictionTable
 
 _VARIABLE_RE = re.compile(r"x\d+")
-# One alternative per token kind; \s is exactly str.isspace.
-_TOKEN_RE = re.compile(
-    r"(?P<space>\s+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)"
-    r"|(?P<sym>[()+\-*^:,=])|(?P<bad>.)"
-)
 # Largest exponent of t in a polynomial term; a term allocates one list entry
 # per power of t up to its exponent.
 _MAX_EXPONENT = 10**6
 # Longest run of digits in an integer literal or a variable name: Python's
 # default limit on int/str conversion, which int() would otherwise raise on.
 _MAX_DIGITS = 4300
+# Identifiers, integers (any Unicode decimal digits, as int() reads them) and
+# symbols; no two kinds share a text. \s, which separates tokens, is exactly
+# str.isspace, and \d is exactly str.isdecimal.
+_LETTERS = "A-Za-z_"
+_SYMBOLS = r"()+\-*^:,="
+_TOKEN = rf"[{_LETTERS}][{_LETTERS}0-9]*|\d+|[{_SYMBOLS}]"
+_TOKEN_RE = re.compile(_TOKEN)
+# The positioned scan: each token, or one character that starts none.
+_SCAN_RE = re.compile(rf"({_TOKEN})|\S")
+# Where the positioned scan may find a lexical error: a character that starts
+# no token, or a run of more than _MAX_DIGITS digits. Two searches take a
+# fifth of the time of one over both alternatives.
+_BAD_CHAR_RE = re.compile(rf"[^\s\d{_LETTERS}{_SYMBOLS}]")
+_LONG_DIGITS_RE = re.compile(rf"\d{{{_MAX_DIGITS + 1}}}")
+# "#" to the end of its line, where str.splitlines ends lines.
+_COMMENT_RE = re.compile("#[^\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029]*")
 _NEEDS_HEADER = "polynomial syntax requires a field header"
-
-
-class Token(NamedTuple):
-    kind: str  # "ident", "int", "sym", "eof"
-    text: str
-    line: int
-    column: int
 
 
 @dataclass(frozen=True)
@@ -86,12 +99,15 @@ class CongruenceLine:
 
 @dataclass(frozen=True)
 class RestrictionLine:
+    """One parsed restriction; the spans are the indices of its "gcd",
+    variable and modulus tokens, for the diagnostics of `document`."""
+
     variable: str
     modulus: object
     value: object
-    span: tuple[int, int] = dataclass_field(compare=False)
-    variable_span: tuple[int, int] = dataclass_field(compare=False)
-    modulus_span: tuple[int, int] = dataclass_field(compare=False)
+    span: int = dataclass_field(compare=False)
+    variable_span: int = dataclass_field(compare=False)
+    modulus_span: int = dataclass_field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -113,65 +129,81 @@ class SystemDocument:
         return INT if self.field_order is None else PolyRing(PrimeField(self.field_order))
 
 
-def _tokenize(text: str) -> tuple[list[Token], list[str]]:
-    lines = text.splitlines() or [""]
-    tokens: list[Token] = []
-    for lineno, line in enumerate(lines, start=1):
-        for match in _TOKEN_RE.finditer(line.split("#", 1)[0]):
-            kind = match.lastgroup
-            if kind == "space":
-                continue
-            word = match.group()
-            column = match.start() + 1
-            if kind == "bad":
-                message = f"unexpected character {word!r}"
-                raise ParseError(Diagnostic(message, lineno, column, line))
-            digits = len(word) if kind == "int" else len(word) - len(word.rstrip("0123456789"))
-            if digits > _MAX_DIGITS:
-                message = f"a number of {digits} digits exceeds the limit {_MAX_DIGITS}"
-                raise ParseError(Diagnostic(message, lineno, column + len(word) - digits, line))
-            tokens.append(Token(kind, word, lineno, column))
-    tokens.append(Token("eof", "", len(lines), len(lines[-1]) + 1))
-    return tokens, lines
-
-
 class _Parser:
-    """Recursive descent over the whole token list, which ends in one "eof"
-    token that no rule consumes. Ident, int and symbol tokens never share a
-    text, so one text comparison tells what a token is."""
+    """Recursive descent over the token texts of the whole text, which end in
+    one "" that no rule consumes. Ident, int and symbol tokens never share a
+    text, so one text comparison tells what a token is, and an int token is
+    the one that starts with a digit."""
 
     def __init__(self, text: str, field: PrimeField | None = None):
-        self.tokens, self.lines = _tokenize(text)
+        self.text = text
+        # A comment becomes one space, so that "\r#\n" stays two line breaks.
+        self.code = _COMMENT_RE.sub(" ", text) if "#" in text else text
+        if _BAD_CHAR_RE.search(self.code) or _LONG_DIGITS_RE.search(self.code):
+            self._check_lexical()
+        self.tokens = _TOKEN_RE.findall(self.code)
+        self.tokens.append("")
         self.pos = 0
         self.field = field
         self.ring: IntRing | PolyRing = INT if field is None else PolyRing(field)
 
-    # token plumbing
+    # token plumbing and positions
+
+    def _check_lexical(self) -> None:
+        """Raise at the first character that starts no token, or the first
+        integer or trailing digits of an identifier longer than _MAX_DIGITS."""
+        for match in _SCAN_RE.finditer(self.code):
+            word = match.group()
+            if match.lastindex is None:
+                self._fail_at(f"unexpected character {word!r}", match.start())
+            # A whole integer, or the trailing ASCII digits of an identifier.
+            digits = len(word)
+            if not word[0].isdecimal():
+                digits -= len(word.rstrip("0123456789"))
+            if digits > _MAX_DIGITS:
+                message = f"a number of {digits} digits exceeds the limit {_MAX_DIGITS}"
+                self._fail_at(message, match.end() - digits)
+
+    def _fail_at(self, message: str, offset: int | None) -> NoReturn:
+        """Raise at an offset into the text with its comments blanked, which
+        keeps every token's line and column, or past the end if None."""
+        lines = self.text.splitlines() or [""]
+        if offset is None:
+            line, column = len(lines), len(lines[-1]) + 1
+        else:
+            head = (self.code[:offset] + "^").splitlines()
+            line, column = len(head), len(head[-1])
+        raise ParseError(Diagnostic(message, line, column, lines[line - 1]))
+
+    def _fail(self, message: str, at: int | None = None) -> NoReturn:
+        """Raise at the token of index at, or at the current token."""
+        at = self.pos if at is None else at
+        offset = None
+        if at < len(self.tokens) - 1:
+            offset = next(islice(_SCAN_RE.finditer(self.code), at, None)).start()
+        self._fail_at(message, offset)
 
     def _at(self, text: str, offset: int = 0) -> bool:
-        return self.tokens[self.pos + offset].text == text
+        return self.tokens[self.pos + offset] == text
 
-    def _advance(self) -> Token:
+    def _at_int(self) -> bool:
+        return self.tokens[self.pos][:1].isdecimal()
+
+    def _advance(self) -> str:
         self.pos += 1
         return self.tokens[self.pos - 1]
 
-    def _fail(self, message: str, at: Token | tuple[int, int] | None = None) -> NoReturn:
-        """Raise at a token, a (line, column) span, or the current token; a
-        token ends with its line and column."""
-        line, column = (at or self.tokens[self.pos])[-2:]
-        raise ParseError(Diagnostic(message, line, column, self.lines[line - 1]))
-
-    def _expect(self, text: str, message: str) -> Token:
-        if self.tokens[self.pos].text != text:
+    def _expect(self, text: str, message: str) -> None:
+        if self.tokens[self.pos] != text:
             self._fail(message)
-        return self._advance()
+        self.pos += 1
 
     # literals and expressions
 
     def _int_literal(self, what: str) -> int:
-        if self.tokens[self.pos].kind != "int":
+        if not self._at_int():
             self._fail(f"expected {what}")
-        return int(self._advance().text)
+        return int(self._advance())
 
     def _signed(self, item: Callable[[], Any]) -> Iterator[tuple[bool, Any]]:
         """(negated, item) for each item of ["-"] item (("+" | "-") item)*."""
@@ -181,14 +213,14 @@ class _Parser:
             yield negate, item()
             if not (self._at("+") or self._at("-")):
                 return
-            negate = self._advance().text == "-"
+            negate = self._advance() == "-"
 
     def _poly_atom(self) -> GFPolynomial:
         assert self.field is not None
         coeff = 1
         power = 0
-        if self.tokens[self.pos].kind == "int":
-            coeff = int(self._advance().text)
+        if self._at_int():
+            coeff = int(self._advance())
             if self._at("*") and self._at("t", 1):
                 self.pos += 2
                 power = 1
@@ -199,10 +231,10 @@ class _Parser:
             self._fail("expected a polynomial term")
         if power == 1 and self._at("^"):
             self.pos += 1
-            exponent_tok = self.tokens[self.pos]
+            exponent_at = self.pos
             power = self._int_literal("an integer exponent")
             if power > _MAX_EXPONENT:
-                self._fail(f"exponent exceeds the limit {_MAX_EXPONENT}", exponent_tok)
+                self._fail(f"exponent exceeds the limit {_MAX_EXPONENT}", exponent_at)
         coeffs = [0] * power + [coeff]
         return GFPolynomial.from_coeffs(self.field, coeffs)
 
@@ -225,7 +257,7 @@ class _Parser:
         return -value if negate else value
 
     def _variable(self) -> str:
-        text = self.tokens[self.pos].text
+        text = self.tokens[self.pos]
         if text == "t" and self.field is None:
             self._fail(_NEEDS_HEADER)
         if not _VARIABLE_RE.fullmatch(text):
@@ -239,18 +271,18 @@ class _Parser:
         self.pos += 1  # "field"
         self._expect("GF", "expected 'GF' after 'field'")
         self._expect("(", "expected '(' after 'GF'")
-        order_tok = self.tokens[self.pos]
+        order_at = self.pos
         order = self._int_literal("a prime field order")
         try:
             field = PrimeField(order)
         except ValueError:
-            self._fail(f"field order {order} is not prime", order_tok)
+            self._fail(f"field order {order} is not prime", order_at)
         self._expect(")", "expected ')' after the field order")
         return field
 
     def _term(self) -> tuple[object, str]:
-        tok = self.tokens[self.pos]
-        if _VARIABLE_RE.fullmatch(tok.text):
+        text = self.tokens[self.pos]
+        if _VARIABLE_RE.fullmatch(text):
             return self.ring.one, self._variable()
         if self.field is None:
             coeff = self._expr("a term like 3*x1 or x1", signed=False)
@@ -258,7 +290,7 @@ class _Parser:
             self.pos += 1
             coeff = self._poly_sum()
             self._expect(")", "expected ')' after the coefficient")
-        elif tok.kind == "int" or tok.text == "t":
+        elif self._at_int() or text == "t":
             coeff = self._poly_atom()
         else:
             self._fail("expected a term like 3*x1, (t + 1)*x1 or x1")
@@ -267,10 +299,10 @@ class _Parser:
 
     def _congruence(self) -> CongruenceLine:
         self.pos += 1  # "mod"
-        modulus_tok = self.tokens[self.pos]
+        modulus_at = self.pos
         modulus = self._expr("a modulus", signed=False)
         if self.ring.norm(modulus) < 2:
-            self._fail(f"modulus must be {self.ring.modulus_rule}", modulus_tok)
+            self._fail(f"modulus must be {self.ring.modulus_rule}", modulus_at)
         self._expect(":", "expected ':' after the modulus")
         combined: dict[str, object] = {}
         for negate, (coeff, name) in self._signed(self._term):
@@ -286,27 +318,28 @@ class _Parser:
         return CongruenceLine(modulus=modulus, terms=terms, rhs=rhs)
 
     def _restriction(self) -> RestrictionLine:
-        start = self._advance()  # "gcd"
+        start = self.pos
+        self.pos += 1  # "gcd"
         self._expect("(", "expected '(' after 'gcd'")
-        var_tok = self.tokens[self.pos]
+        variable_at = self.pos
         name = self._variable()
         self._expect(",", "expected ',' after the variable")
-        modulus_tok = self.tokens[self.pos]
+        modulus_at = self.pos
         modulus = self._expr("a modulus", signed=False)
         self._expect(")", "expected ')' after the modulus")
         self._expect("=", "expected '=' after 'gcd(...)'")
-        value_tok = self.tokens[self.pos]
+        value_at = self.pos
         value = self._expr("a restriction value")
         if self.ring.norm(value) < 1:  # type: ignore[arg-type]
             rule = "positive" if self.field is None else "nonzero"
-            self._fail(f"restriction value must be {rule}", value_tok)
+            self._fail(f"restriction value must be {rule}", value_at)
         return RestrictionLine(
             variable=name,
             modulus=modulus,
             value=self.ring.normalise(value),  # type: ignore[arg-type]
-            span=(start.line, start.column),
-            variable_span=(var_tok.line, var_tok.column),
-            modulus_span=(modulus_tok.line, modulus_tok.column),
+            span=start,
+            variable_span=variable_at,
+            modulus_span=modulus_at,
         )
 
     def document(self) -> SystemDocument:
@@ -315,7 +348,7 @@ class _Parser:
             self.ring = PolyRing(self.field)
         congruences: list[CongruenceLine] = []
         restrictions: list[RestrictionLine] = []
-        while self.tokens[self.pos].kind != "eof":
+        while self.tokens[self.pos]:
             if self._at("mod"):
                 congruences.append(self._congruence())
             elif self._at("gcd"):
@@ -418,7 +451,7 @@ def parse_poly(text: str, field: PrimeField) -> GFPolynomial:
     try:
         parser = _Parser(text, field)
         poly = parser._poly_sum()
-        if parser.tokens[parser.pos].kind != "eof":
+        if parser.tokens[parser.pos]:
             parser._fail("unexpected trailing input")
     except ParseError as exc:
         raise ValueError(f"bad polynomial {text!r}: {exc.diagnostic.message}") from None

@@ -250,12 +250,32 @@ def test_first_error_wins():
     with pytest.raises(ParseError) as info:
         parse_system("mod 0: x1 = 1\nmod 0: y = 1\n")
     assert info.value.diagnostic.line == 1
-    # The whole text is tokenized before parsing, so a bad character anywhere
-    # wins over an earlier syntax error; and a term that ends the input after
-    # "*" peeks at the end token, past which there is nothing.
+    # The whole text is checked for lexical errors before parsing, so a bad
+    # character anywhere wins over an earlier syntax error; and a term that
+    # ends the input after "*" peeks at the end token, past which there is
+    # nothing. Long digit runs count only as a number or an identifier's
+    # last digits, and comments hold no errors. Integers take any decimal
+    # digits, identifiers only ASCII ones. Lines end where str.splitlines
+    # ends them, and the end of input sits past the last line's comment.
+    many = "1" * 4301
     for text, message, line, column in (
         ("mod 0: x1 = 1\n@\n", "unexpected character '@'", 2, 1),
         ("field GF(3)\nmod t: 2*", "expected a variable like x1", 2, 10),
+        (f"mod 7: x{many}y = 1\n", "expected a term like 3*x1 or x1", 1, 8),
+        (f"mod 7: x{many} = 1\n", "a number of 4301 digits exceeds the limit 4300", 1, 9),
+        (f"mod 7: x1 = 1 # @ {many}\nmod 0: x1 = 1\n", "modulus must be at least 2", 2, 5),
+        ("mod \u0661\u0662: x1 = 3\nmod \u0660: x1 = 1\n", "modulus must be at least 2", 2, 5),
+        ("mod \u0661\u0662: x\u0661 = 3\n", "expected a term like 3*x1 or x1", 1, 9),
+        (
+            "mod 7: x1 = 1\x0cmod 7: x1 = 1\x1c# c\u2028mod 7: x1 = 1 mod 7: x1 =\n",
+            "expected an integer",
+            4,
+            26,
+        ),
+        ("mod 7: x1 = 1\x0c\x1c# c\u2028  x1 = 1 @\n", "unexpected character '@'", 4, 10),
+        ("mod 7: x1 = 1\r# c\nmod 7: @\n", "unexpected character '@'", 3, 8),
+        ("mod 7: x1 = # c", "expected an integer", 1, 16),
+        ("mod 7: x1 =\n\n", "expected an integer", 2, 1),
     ):
         with pytest.raises(ParseError) as info:
             parse_system(text)

@@ -13,7 +13,8 @@ from congruences import (
     smith_normal_form,
     system_count,
 )
-from congruences.snf import _hermite_basis
+from congruences import snf
+from congruences.snf import _diagonal_smith, _diagonalize, _hermite_basis
 
 
 def mat_mul(a, b):
@@ -179,7 +180,7 @@ def test_butson_stewart_agrees_with_coprime_formula():
     checked = 0
     while checked < 120:
         k = rng.randrange(1, 3)
-        n = rng.randrange(k, 4)
+        n = rng.randrange(max(k, 2), 4)
         moduli = [rng.randrange(2, 40) for _ in range(k)]
         if any(
             math.gcd(moduli[i], moduli[j]) != 1
@@ -419,3 +420,121 @@ def test_butson_stewart_invariant_under_unimodular_column_changes():
         changed, report = same_count(system, rng)
         assert report.count == enumerate_solutions(changed)[0]
         checked += 1
+
+
+def diagonal_route(system):
+    """The lifted D B of butson_stewart_count when its Hermite basis B is
+    square and diagonal, as (diagonal, lifted rhs, m); else None."""
+    k = system.k
+    basis = _hermite_basis(system.coefficients, k, system.n)
+    if len(basis) != k or any(col[i] for j, col in enumerate(basis) for i in range(j + 1, k)):
+        return None
+    matrix, rhs, m = lift_to_common_modulus(
+        CongruenceSystem(tuple(zip(*basis)), system.moduli, system.rhs)
+    )
+    return [matrix[i][i] for i in range(k)], list(rhs), m
+
+
+def test_diagonal_smith_swaps_reorder_and_carry_the_rhs():
+    # B = I with moduli that share primes: D = diag(m/m_i) = diag(9, 4, 6)
+    # for m = 36 is no chain, so the swaps reorder it.
+    system = CongruenceSystem(((1, 0, 0, 5), (0, 1, 0, 7), (0, 0, 1, 1)), (4, 9, 6), (1, 2, 3))
+    diagonal, rhs, m = diagonal_route(system)
+    assert (diagonal, m) == ([9, 4, 6], 36)
+    factors, _ = _diagonal_smith(diagonal, rhs)
+    assert factors == [1, 6, 36]
+    report = butson_stewart_count(system)
+    assert report.details["invariant_factors"] == [1, 6, 36]
+    assert report.count == enumerate_solutions(system)[0] == 6 * 36 * 36
+    # A diagonal B that is not I: A = diag(2, 3) padded with zero columns,
+    # so D B = diag(18, 12), whose pivots do not divide every rhs.
+    for rhs, count in (((2, 3), 6 * 36 * 36), ((1, 0), 0), ((0, 1), 0)):
+        system = CongruenceSystem(((2, 0, 0), (0, 3, 0)), (4, 9), rhs)
+        diagonal, _, _ = diagonal_route(system)
+        assert diagonal == [18, 12]
+        report = butson_stewart_count(system)
+        assert report.details["invariant_factors"] == [6, 36]
+        assert (report.count, report.solvable) == (count, count > 0)
+        assert report.count == enumerate_solutions(system)[0]
+    # Unsolvable only in the middle row (3 does not divide 14): a row step
+    # that is not unimodular, such as (c_i, c_j) -> (s c_i + t c_j,
+    # (d_i/g) c_j + (d_j/g) c_i), would find this system solvable.
+    system = CongruenceSystem(((6, 0, 0), (0, 3, 0), (0, 0, 4)), (15, 21, 15), (12, 14, 1))
+    assert diagonal_route(system)[0] == [42, 15, 28]
+    report = butson_stewart_count(system)
+    assert report.details["invariant_factors"] == [1, 42, 420]
+    assert (report.count, report.solvable) == (0, False)
+    assert enumerate_solutions(system)[0] == 0
+
+
+def test_diagonal_smith_agrees_with_enumeration_and_the_pivot_loop():
+    rng = random.Random(48)
+    # Small systems A = diag(d) W, W unimodular: the Hermite basis of A is
+    # diag(d), often not I, and half are made solvable.
+    checked = unsolvable = 0
+    while checked < 200:
+        k = rng.randrange(1, 4)
+        n = rng.randrange(max(k, 2), 4)
+        moduli = tuple(rng.randrange(2, 13) for _ in range(k))
+        if math.lcm(*moduli) ** n > 3 * 10**5:
+            continue
+        diag = [[rng.choice((1, 1, 2, 3, 4)) * (i == j) for j in range(n)] for i in range(k)]
+        rows = mat_mul(diag, random_unimodular(rng, n, 2 * n))
+        rhs = tuple(rng.randrange(-12, 13) for _ in range(k))
+        if rng.random() < 0.5:
+            x = [rng.randrange(12) for _ in range(n)]
+            rhs = tuple(sum(a * y for a, y in zip(row, x)) for row in rows)
+        system = CongruenceSystem(rows, moduli, rhs)
+        assert diagonal_route(system) is not None
+        report = butson_stewart_count(system)
+        assert report.count == enumerate_solutions(system)[0], system
+        unsolvable += not report.solvable
+        checked += 1
+    assert 20 <= unsolvable <= 180
+    # snf-wide shapes: the swaps give the factors and the solvability the
+    # pivot loop gives on the same D B. Nearly all their diagonal bases are
+    # I, with which every rhs is solvable; the small systems above cover
+    # unsolvable ones.
+    diagonal_seen = 0
+    for k in range(4, 17):
+        for _ in range(4):
+            system = snf_wide_system(rng, k)
+            route = diagonal_route(system)
+            if route is None:
+                continue
+            diagonal, rhs, m = route
+            augmented = [
+                [x * (i == j) for j in range(k)] + [c]
+                for i, (x, c) in enumerate(zip(diagonal, rhs))
+            ]
+            general = _diagonalize(augmented, k, k)
+            factors, transformed = _diagonal_smith(diagonal, rhs)
+            assert factors == general
+            gcds = [math.gcd(e, m) for e in factors]
+            assert all(c % g == 0 for c, g in zip(transformed, gcds)) == all(
+                row[-1] % g == 0 for row, g in zip(augmented, gcds)
+            )
+            report = butson_stewart_count(system)
+            assert report.details["invariant_factors"] == factors
+            diagonal_seen += 1
+    assert diagonal_seen >= 20
+
+
+def test_butson_stewart_takes_both_routes(monkeypatch):
+    # snf-wide shapes have Hermite bases on both sides of the choice.
+    calls = {"swaps": 0, "pivot loop": 0}
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(snf, "_diagonal_smith", spy("swaps", snf._diagonal_smith))
+    monkeypatch.setattr(snf, "_diagonalize", spy("pivot loop", snf._diagonalize))
+    rng = random.Random(49)
+    for k in range(4, 17):
+        for _ in range(3):
+            butson_stewart_count(snf_wide_system(rng, k))
+    assert calls["swaps"] > 0 and calls["pivot loop"] > 0
+    assert calls["swaps"] + calls["pivot loop"] == 39

@@ -20,8 +20,8 @@ unimodular. Column operations commute with the row scaling,
 D (A V) = (D A) V, so the lifted D B has the invariant factors of D A and is
 what gets diagonalized. B ends with small entries, often the identity, so
 that takes far fewer operations on long integers. When B is square and
-diagonal, so is D B, and its Smith form comes from gcd/lcm swaps of its
-entries instead of the pivot loop.
+diagonal, so is D B: its rows are solved one by one, and its invariant
+factors come from gcd/lcm swaps of its entries instead of the pivot loop.
 """
 
 from __future__ import annotations
@@ -143,28 +143,21 @@ def _diagonalize(a: list[list[int]], k: int, n: int) -> list[int]:
     return [a[i][i] for i in range(t)]
 
 
-def _diagonal_smith(diagonal: list[int], rhs: list[int]) -> tuple[list[int], list[int]]:
-    """Smith form of diag(diagonal), positive entries, with rhs carried
-    through its row operations; return the diagonal e_1 | ... | e_k and rhs.
+def _diagonal_smith(diagonal: list[int]) -> list[int]:
+    """Invariant factors e_1 | ... | e_k of diag(diagonal), positive entries.
 
-    For i < j in turn, (d_i, d_j) becomes (g, l) = (gcd, lcm): with
-    s d_i + t d_j = g, the unimodular row step
-    (c_i, c_j) -> (s c_i + t c_j, (d_i/g) c_j - (d_j/g) c_i) and a column step
-    take diag(d_i, d_j) to diag(g, l). After the pass over i, d_i divides
+    For i < j in turn, (d_i, d_j) becomes (gcd, lcm), which a unimodular row
+    and column step do to diag(d_i, d_j). After the pass over i, d_i divides
     every later entry. A pair with d_i | d_j needs no step.
     """
-    d, c = list(diagonal), list(rhs)
+    d = list(diagonal)
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             a, b = d[i], d[j]
             if b % a:
                 g = math.gcd(a, b)
-                ag, bg = a // g, b // g
-                s = pow(ag, -1, bg)
-                t = (1 - s * ag) // bg
-                d[i], d[j] = g, a * bg
-                c[i], c[j] = s * c[i] + t * c[j], ag * c[j] - bg * c[i]
-    return d, c
+                d[i], d[j] = g, a * (b // g)
+    return d
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
@@ -260,13 +253,19 @@ def butson_stewart_count(system: CongruenceSystem) -> CountReport:
     by its pivots, and B is often the identity, so diagonalizing D B takes far
     fewer operations on the long entries of D than diagonalizing D A would.
     D B is diagonalized, U D B W = diag(e_1, ..., e_r), carrying D b through
-    the row operations. When r = k and B is diagonal, D B is diagonal too,
-    and `_diagonal_smith` takes it to Smith form by gcd/lcm swaps; else the
-    pivot loop `_diagonalize` does. A diagonal B need not be the identity,
-    so the rhs is carried on both paths. The system is solvable iff
-    gcd(e_i, m) divides (U D b)_i for i <= r and (U D b)_i = 0 mod m for
-    i > r; then the count is the product of the gcd(e_i, m) times m^(n - r).
-    Any shape: k > n and rank-deficient matrices included.
+    the row operations. The system is solvable iff gcd(e_i, m) divides
+    (U D b)_i for i <= r and (U D b)_i = 0 mod m for i > r; then the count is
+    the product of the gcd(e_i, m) times m^(n - r). Any shape: k > n and
+    rank-deficient matrices included.
+
+    When r = k and B is diagonal, D B = diag(d_1, ..., d_k) is diagonal too.
+    Row i then reads d_i y_i = (D b)_i (mod m) alone, so the system is
+    solvable iff gcd(d_i, m) divides (D b)_i for every i, with no row
+    operations. Since gcd(a, m) gcd(b, m) = gcd(gcd(a, b), m) gcd(lcm(a, b), m),
+    the product of the gcd(d_i, m) is that of the gcd(e_i, m), and the
+    factors come from gcd/lcm swaps (`_diagonal_smith`) instead of the pivot
+    loop `_diagonalize`. A diagonal B need not be the identity, so some of
+    these systems are unsolvable.
     """
     basis = _hermite_basis(system.coefficients, system.k, system.n)
     r = len(basis)
@@ -275,17 +274,16 @@ def butson_stewart_count(system: CongruenceSystem) -> CountReport:
         system.moduli,
     )
     if r == system.k and not any(any(col[j + 1 :]) for j, col in enumerate(basis)):
-        factors, transformed = _diagonal_smith(
-            [row[i] for i, row in enumerate(augmented)], [row[-1] for row in augmented]
-        )
+        pivots = [row[i] for i, row in enumerate(augmented)]
+        factors = _diagonal_smith(pivots)
     else:
-        factors = _diagonalize(augmented, system.k, r)
-        transformed = [row[-1] for row in augmented]
+        pivots = factors = _diagonalize(augmented, system.k, r)
     _check_chain(factors)
+    transformed = [row[-1] for row in augmented]
     factor_gcds = [math.gcd(e_i, m) for e_i in factors]
-    solvable = all(c % g == 0 for c, g in zip(transformed, factor_gcds)) and all(
-        c % m == 0 for c in transformed[r:]
-    )
+    solvable = all(
+        c % math.gcd(p, m) == 0 for c, p in zip(transformed, pivots)
+    ) and all(c % m == 0 for c in transformed[r:])
     count = math.prod(factor_gcds) * m ** (system.n - r) if solvable else 0
     return CountReport(
         count=count,

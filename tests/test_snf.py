@@ -180,7 +180,7 @@ def test_butson_stewart_agrees_with_coprime_formula():
     checked = 0
     while checked < 120:
         k = rng.randrange(1, 3)
-        n = rng.randrange(max(k, 2), 4)
+        n = rng.randrange(k, 4)
         moduli = [rng.randrange(2, 40) for _ in range(k)]
         if any(
             math.gcd(moduli[i], moduli[j]) != 1
@@ -435,14 +435,13 @@ def diagonal_route(system):
     return [matrix[i][i] for i in range(k)], list(rhs), m
 
 
-def test_diagonal_smith_swaps_reorder_and_carry_the_rhs():
+def test_diagonal_smith_swaps_reorder_and_rows_decide_solvability():
     # B = I with moduli that share primes: D = diag(m/m_i) = diag(9, 4, 6)
     # for m = 36 is no chain, so the swaps reorder it.
     system = CongruenceSystem(((1, 0, 0, 5), (0, 1, 0, 7), (0, 0, 1, 1)), (4, 9, 6), (1, 2, 3))
-    diagonal, rhs, m = diagonal_route(system)
+    diagonal, _, m = diagonal_route(system)
     assert (diagonal, m) == ([9, 4, 6], 36)
-    factors, _ = _diagonal_smith(diagonal, rhs)
-    assert factors == [1, 6, 36]
+    assert _diagonal_smith(diagonal) == [1, 6, 36]
     report = butson_stewart_count(system)
     assert report.details["invariant_factors"] == [1, 6, 36]
     assert report.count == enumerate_solutions(system)[0] == 6 * 36 * 36
@@ -456,9 +455,8 @@ def test_diagonal_smith_swaps_reorder_and_carry_the_rhs():
         assert report.details["invariant_factors"] == [6, 36]
         assert (report.count, report.solvable) == (count, count > 0)
         assert report.count == enumerate_solutions(system)[0]
-    # Unsolvable only in the middle row (3 does not divide 14): a row step
-    # that is not unimodular, such as (c_i, c_j) -> (s c_i + t c_j,
-    # (d_i/g) c_j + (d_j/g) c_i), would find this system solvable.
+    # Unsolvable only in the middle row, for m = 105: gcd(15, 105) = 15 does
+    # not divide the lifted rhs 14 * 5 = 70.
     system = CongruenceSystem(((6, 0, 0), (0, 3, 0), (0, 0, 4)), (15, 21, 15), (12, 14, 1))
     assert diagonal_route(system)[0] == [42, 15, 28]
     report = butson_stewart_count(system)
@@ -474,12 +472,13 @@ def test_diagonal_smith_agrees_with_enumeration_and_the_pivot_loop():
     checked = unsolvable = 0
     while checked < 200:
         k = rng.randrange(1, 4)
-        n = rng.randrange(max(k, 2), 4)
+        n = rng.randrange(k, 4)
         moduli = tuple(rng.randrange(2, 13) for _ in range(k))
         if math.lcm(*moduli) ** n > 3 * 10**5:
             continue
         diag = [[rng.choice((1, 1, 2, 3, 4)) * (i == j) for j in range(n)] for i in range(k)]
-        rows = mat_mul(diag, random_unimodular(rng, n, 2 * n))
+        w = random_unimodular(rng, n, 2 * n) if n > 1 else [[rng.choice((1, -1))]]
+        rows = mat_mul(diag, w)
         rhs = tuple(rng.randrange(-12, 13) for _ in range(k))
         if rng.random() < 0.5:
             x = [rng.randrange(12) for _ in range(n)]
@@ -491,10 +490,10 @@ def test_diagonal_smith_agrees_with_enumeration_and_the_pivot_loop():
         unsolvable += not report.solvable
         checked += 1
     assert 20 <= unsolvable <= 180
-    # snf-wide shapes: the swaps give the factors and the solvability the
-    # pivot loop gives on the same D B. Nearly all their diagonal bases are
-    # I, with which every rhs is solvable; the small systems above cover
-    # unsolvable ones.
+    # snf-wide shapes: the swaps give the factors, and the rows of D B the
+    # solvability and the count, that the pivot loop gives on the same D B.
+    # Nearly all their diagonal bases are I, with which every rhs is
+    # solvable; the small systems above cover unsolvable ones.
     diagonal_seen = 0
     for k in range(4, 17):
         for _ in range(4):
@@ -508,12 +507,13 @@ def test_diagonal_smith_agrees_with_enumeration_and_the_pivot_loop():
                 for i, (x, c) in enumerate(zip(diagonal, rhs))
             ]
             general = _diagonalize(augmented, k, k)
-            factors, transformed = _diagonal_smith(diagonal, rhs)
+            factors = _diagonal_smith(diagonal)
             assert factors == general
             gcds = [math.gcd(e, m) for e in factors]
-            assert all(c % g == 0 for c, g in zip(transformed, gcds)) == all(
+            assert all(c % math.gcd(d, m) == 0 for c, d in zip(rhs, diagonal)) == all(
                 row[-1] % g == 0 for row, g in zip(augmented, gcds)
             )
+            assert math.prod(math.gcd(d, m) for d in diagonal) == math.prod(gcds)
             report = butson_stewart_count(system)
             assert report.details["invariant_factors"] == factors
             diagonal_seen += 1

@@ -40,6 +40,7 @@ from .systems import (
     DEFAULT_ENUMERATION_CAP,
     DivisorTable,
     lehmer_count,
+    oracle_count,
     restricted_system_count,
     system_count,
 )
@@ -192,7 +193,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> dict[str, Any]:
     doc = _load(args.file)
     system = build_system(doc)
     ring = system.ring
-    count, solutions = ring.oracle(system, build_restrictions(doc), args.cap)
+    table = build_restrictions(doc)
+    # The list is in lexicographic order, so it takes the whole scan.
+    if args.list:
+        count, solutions = ring.oracle(system, table, args.cap)
+    else:
+        count = oracle_count(system, table, args.cap)
     payload: dict[str, Any] = {
         "count": str(count),
         "modulus": ring.format(ring.lcm(system.moduli)),
@@ -230,7 +236,7 @@ def _cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
             counts.append(snf_report.count)
 
     try:
-        count, _ = system.ring.oracle(system, table, args.cap)
+        count = oracle_count(system, table, args.cap)
         methods["oracle"] = {"count": str(count)}
         counts.append(count)
     except CapExceededError as exc:

@@ -8,6 +8,8 @@ test, coprime systems, gcd-restricted systems via Ramanujan sums). So do
 the character sums beneath them: the Ramanujan sum by its local product and
 by its divisor sum, and the E (I) and J functions.
 Enumeration is one independent exhaustive oracle for both rings (`_scan`).
+`oracle_count` counts with it by CRT: one whole scan per pairwise coprime
+piece of the lcm of the moduli (its prime powers), the counts multiplied.
 """
 
 from __future__ import annotations
@@ -576,17 +578,22 @@ def restricted_count_unit_coeffs(m: int, b: int, t: Sequence[int]) -> int:
     return _unit_coefficient_sum(INT, m, b, t).count
 
 
-def _scan_modulus(system, cap: int) -> tuple[Any, int]:
-    """The lcm of the moduli and its norm, once the norm^n residue tuples are
-    known to fit within cap. Neither the lcm nor a long tuple count is ever
-    written in decimal: both can pass Python's limit on int-to-str conversion."""
-    ring = system.ring
-    lcm = ring.lcm(system.moduli)
-    size = ring.norm(lcm)
-    total = size**system.n
+def _require_within_cap(total: int, cap: int) -> None:
+    """Raise CapExceededError when a scan of total tuples passes cap. A long
+    count is never written in decimal: it can pass Python's limit on
+    int-to-str conversion."""
     if total > cap:
         shown = total if total < 10**50 else f"about 10^{math.log10(total):.1f}"
         raise CapExceededError(f"scan of {shown} tuples exceeds cap {cap}")
+
+
+def _scan_modulus(system, cap: int) -> tuple[Any, int]:
+    """The lcm of the moduli and its norm, once the norm^n residue tuples are
+    known to fit within cap. The lcm is never written in decimal."""
+    ring = system.ring
+    lcm = ring.lcm(system.moduli)
+    size = ring.norm(lcm)
+    _require_within_cap(size**system.n, cap)
     return lcm, size
 
 
@@ -661,3 +668,65 @@ def enumerate_solutions(
         return mask
 
     return _scan(m, system.n, passes)
+
+
+def _coprime_pieces(ring: IntRing | PolyRing, lcm: Any, cap: int) -> list:
+    """Pairwise coprime non-units whose product is lcm: its prime powers, when
+    |lcm| <= cap and they pass that check, else [lcm] alone.
+
+    The bound keeps factoring to moduli whose scan could fit the cap anyway.
+    The check keeps the oracle independent of factoring: any such split is a
+    valid CRT split, so a wrong factorization can only cost time.
+    """
+    if ring.norm(lcm) > cap:
+        return [lcm]
+    pieces = [math.prod([p] * e, start=ring.one) for p, e in ring.factor(lcm)]
+    if (
+        math.prod(pieces, start=ring.one) != lcm
+        or any(ring.norm(q) < 2 or ring.gcd(q, lcm // q) != ring.one for q in pieces)
+    ):
+        return [lcm]
+    return pieces
+
+
+def oracle_count(
+    system: CongruenceSystem | PolyCongruenceSystem,
+    restrictions: RestrictionTable | None = None,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> int:
+    """The oracle's count, as the product of whole scans modulo pairwise
+    coprime pieces q of the lcm L of the moduli (`_coprime_pieces`).
+
+    By CRT, x mod L is its residues mod the pieces. Row i holds mod m_i iff
+    it holds mod gcd(m_i, q) for every q, and gcd(x_j, m_i) = t_ij iff
+    gcd(x_j, gcd(m_i, q)) = gcd(t_ij, q) for every q. So piece q scans the
+    rows with gcd(m_i, q) != 1, taken mod gcd(m_i, q) with restrictions
+    gcd(t_ij, q), through ring.oracle. The cap bounds the sum of |q|^n over
+    the pieces, and each piece is also held to ring.oracle's own limits. The
+    table is checked against the whole system first: t = 4, m = 6 passes at
+    q = 2 and at q = 3.
+    """
+    ring = system.ring
+    pieces = _coprime_pieces(ring, ring.lcm(system.moduli), cap)
+    if len(pieces) == 1:
+        return ring.oracle(system, restrictions, cap)[0]
+    _require_within_cap(sum(ring.norm(q) ** system.n for q in pieces), cap)
+    entries = restrictions.entries if restrictions is not None else ()
+    if entries:
+        restrictions.validate_for(system)
+    count = 1
+    for q in pieces:
+        rows = [(i, g) for i, g in enumerate(ring.gcd(m_i, q) for m_i in system.moduli)
+                if g != ring.one]
+        piece = ring.system(
+            tuple(system.coefficients[i] for i, _ in rows),
+            tuple(g for _, g in rows),
+            tuple(system.rhs[i] for i, _ in rows),
+        )
+        table = None
+        if entries:
+            table = ring.restriction_table(
+                tuple(tuple(ring.gcd(t, q) for t in entries[i]) for i, _ in rows)
+            )
+        count *= ring.oracle(piece, table, cap)[0]
+    return count

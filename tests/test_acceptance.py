@@ -148,6 +148,10 @@ def test_criterion_2_coprime_triple(capsys):
         assert snf_report.count == 3110400
         assert list(snf_report.details["invariant_factors"]) == [6, 720, 3600]
         assert cli_json(capsys, "count", sample("int_system_9_16_5.cong"))["count"] == "3110400"
+        # The oracle scans 9^3 + 16^3 + 5^3 = 4950 tuples, one piece at a time.
+        payload = cli_json(capsys, "verify", sample("int_system_9_16_5.cong"))
+        assert payload["agreement"] is True
+        assert payload["methods"]["oracle"]["count"] == "3110400"
         payload = cli_json(capsys, "verify", "--cap", "1000", sample("int_system_9_16_5.cong"))
         assert payload["agreement"] is True
         assert payload["methods"]["formula"]["count"] == "3110400"

@@ -17,11 +17,13 @@ digits. It first brings the columns of the unlifted A, one at a time, into a
 basis B of the lattice they span, kept in Hermite normal form (Kannan and
 Bachem, SIAM J. Comput. 1979; Cohen 1993, section 2.4): A V = [B | 0] with V
 unimodular. Column operations commute with the row scaling,
-D (A V) = (D A) V, so the lifted D B has the invariant factors of D A and is
-what gets diagonalized. B ends with small entries, often the identity, so
-that takes far fewer operations on long integers. When B is square and
-diagonal, so is D B: its rows are solved one by one, and its invariant
-factors come from gcd/lcm swaps of its entries instead of the pivot loop.
+D (A V) = (D A) V, so D B has the invariant factors of D A. For A of rank k,
+B is found modulo a multiple M of det B (Domich, Kannan and Trotter, Math.
+Oper. Res. 1987), and D B is never formed: its factors are those of the part
+u of D prime to det B, by gcd/lcm swaps, times those of a small matrix at the
+primes of det B, which the pivot loop diagonalizes. Two invariants carry
+this: M stays a multiple of the index [Z^k : L(A)] = det B, and no prime
+divides both det B and an entry of u.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from .report import CountReport
 from .systems import CongruenceSystem
 
 Matrix = tuple[tuple[int, ...], ...]
+
+# The primes that `_index_multiple` tries to take out of its modulus.
+_TRIAL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1)))
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,15 @@ def _diagonal_smith(diagonal: list[int]) -> list[int]:
     return d
 
 
+def _prime_to(x: int, h: int) -> int:
+    """The largest divisor of x > 0 that is prime to h."""
+    g = math.gcd(x, h)
+    while g > 1:
+        x //= g
+        g = math.gcd(x, g * g)
+    return x
+
+
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
     """Smith normal form of an integer matrix, with its transforms."""
     k = len(matrix)
@@ -179,9 +193,57 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
     )
 
 
+def _eliminate(matrix: Sequence[Sequence[int]], p: int = 0) -> list[int] | None:
+    """The last row that Gaussian elimination of the k x n matrix leaves, with
+    the first nonzero entry of the remaining block as each pivot, or None if
+    there is none. Over Z (p = 0) it is fraction free (Bareiss), so the row
+    holds k x k minors up to sign; mod a prime p the row is nonzero iff the
+    matrix has rank k mod p."""
+    a = [[x % p for x in row] if p else list(row) for row in matrix]
+    prev = 1
+    while len(a) > 1:
+        i, j = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x), (0, None))
+        if j is None:
+            return None
+        top = a.pop(i)
+        pivot = top.pop(j)
+        for i, row in enumerate(a):
+            f = row.pop(j)
+            if p:
+                a[i] = [(x * pivot - f * y) % p for x, y in zip(row, top)]
+            else:
+                a[i] = [(x * pivot - f * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+    return a[0]
+
+
+def _index_multiple(matrix: Sequence[Sequence[int]]) -> int | None:
+    """A multiple M of the index [Z^k : L] of the lattice L spanned by the
+    columns of the k x n matrix, or None when its rank is below k.
+
+    The index, the gcd of all k x k minors, divides the gcd M of those that
+    `_eliminate` leaves. A trial prime p leaves M only if the matrix has rank
+    k mod p, so that p does not divide the index; any other factor stays.
+    """
+    index = math.gcd(*(_eliminate(matrix) or ()))
+    if not index:
+        return None
+    for p in _TRIAL_PRIMES:
+        if p > index:
+            break
+        if index % p == 0 and any(_eliminate(matrix, p) or ()):
+            index = _prime_to(index, p)
+    return index
+
+
 def _hermite_basis(matrix: Sequence[Sequence[int]], k: int, n: int) -> list[list[int]]:
     """The columns of a basis, in Hermite normal form, of the lattice spanned by
     the columns of the k x n matrix; there are r = rank of them.
+
+    When r = k, M Z^k lies in the lattice for M = `_index_multiple`, so the
+    columns mod M and those of M I go in instead: the same lattice, whose
+    entries on the way grow with the minors of A mod M, not of A. M = 1
+    gives I.
 
     The columns of the matrix go in one at a time. A column v walks down its
     nonzero entries. At a row that is no basis column's pivot row, v becomes
@@ -197,10 +259,16 @@ def _hermite_basis(matrix: Sequence[Sequence[int]], k: int, n: int) -> list[list
     pivot, has -p <= 2x < p. Only the rows that are no pivot row can hold
     large entries.
     """
+    modulus = _index_multiple(matrix)
+    if modulus == 1:
+        return [[int(i == j) for i in range(k)] for j in range(k)]
+    columns = [list(col) for col in zip(*matrix)]
+    if modulus is not None:
+        columns = [[x % modulus for x in col] for col in columns]
+        columns += [[modulus * (i == j) for i in range(k)] for j in range(k)]
     basis: list[list[int]] = []
     pivots: list[int] = []
-    for j in range(n):
-        v = [row[j] for row in matrix]
+    for v in columns:
         c = 0
         for i in range(k):
             x = v[i]
@@ -249,35 +317,46 @@ def butson_stewart_count(system: CongruenceSystem) -> CountReport:
     the lattice they span, in Hermite normal form (`_hermite_basis`), so
     A V = [B | 0] with V unimodular and B of r = rank A columns. Column
     operations commute with the row scaling, D (A V) = (D A) V, so D B has the
-    invariant factors of the lifted matrix D A. The entries of B are reduced
-    by its pivots, and B is often the identity, so diagonalizing D B takes far
-    fewer operations on the long entries of D than diagonalizing D A would.
-    D B is diagonalized, U D B W = diag(e_1, ..., e_r), carrying D b through
-    the row operations. The system is solvable iff gcd(e_i, m) divides
-    (U D b)_i for i <= r and (U D b)_i = 0 mod m for i > r; then the count is
-    the product of the gcd(e_i, m) times m^(n - r). Any shape: k > n and
-    rank-deficient matrices included.
+    invariant factors e_1 | ... | e_r of D A, and D B y = D b is solvable iff
+    D A x = D b is. Then the count is the product of the gcd(e_i, m) times
+    m^(n - r). Any shape: k > n and rank-deficient matrices included.
 
-    When r = k and B is diagonal, D B = diag(d_1, ..., d_k) is diagonal too.
-    Row i then reads d_i y_i = (D b)_i (mod m) alone, so the system is
-    solvable iff gcd(d_i, m) divides (D b)_i for every i, with no row
-    operations. Since gcd(a, m) gcd(b, m) = gcd(gcd(a, b), m) gcd(lcm(a, b), m),
-    the product of the gcd(d_i, m) is that of the gcd(e_i, m), and the
-    factors come from gcd/lcm swaps (`_diagonal_smith`) instead of the pivot
-    loop `_diagonalize`. A diagonal B need not be the identity, so some of
-    these systems are unsolvable.
+    When r = k, let h = det B and split each D_i = g_i u_i, g_i made of the
+    primes of h and u_i prime to h. At a prime not dividing h, B is
+    invertible, so D B has the local factors of diag(u), which
+    `_diagonal_smith` gives, and B y = b is solvable. At a prime of h, diag(u)
+    is invertible, so D B has the local factors of the small diag(g) B, which
+    `_diagonalize` gives with g o b carried, and the system is solvable there
+    iff gcd(e'_i, m) divides the carried rhs in every row, e' its factors. No
+    prime divides both h and a u_i, so the product of the two chains is the
+    chain of D B, and the system is solvable iff it is at the primes of h.
+    With h = 1 that is every system, and the factors are the swaps of D.
+
+    When r < k, D B itself is diagonalized, U D B W = diag(e_1, ..., e_r),
+    carrying D b. The system is solvable iff gcd(e_i, m) divides (U D b)_i
+    for i <= r and (U D b)_i = 0 mod m for i > r.
     """
-    basis = _hermite_basis(system.coefficients, system.k, system.n)
+    k = system.k
+    basis = _hermite_basis(system.coefficients, k, system.n)
     r = len(basis)
-    augmented, m = _lift_rows(
-        [[*(col[i] for col in basis), b_i] for i, b_i in enumerate(system.rhs)],
-        system.moduli,
-    )
-    if r == system.k and not any(any(col[j + 1 :]) for j, col in enumerate(basis)):
-        pivots = [row[i] for i, row in enumerate(augmented)]
-        factors = _diagonal_smith(pivots)
+    if r == k:
+        m = nary_lcm(system.moduli)
+        h = math.prod(col[i] for i, col in enumerate(basis))
+        lifts = [m // m_i for m_i in system.moduli]
+        u = [_prime_to(d, h) for d in lifts]
+        g = [d // u_i for d, u_i in zip(lifts, u)]
+        augmented = [
+            [g_i * col[i] for col in basis] + [g_i * b_i]
+            for i, (g_i, b_i) in enumerate(zip(g, system.rhs))
+        ]
+        pivots = _diagonalize(augmented, k, k) if h > 1 else [1] * k
+        factors = [x * y for x, y in zip(_diagonal_smith(u), pivots)]
     else:
-        pivots = factors = _diagonalize(augmented, system.k, r)
+        augmented, m = _lift_rows(
+            [[*(col[i] for col in basis), b_i] for i, b_i in enumerate(system.rhs)],
+            system.moduli,
+        )
+        pivots = factors = _diagonalize(augmented, k, r)
     _check_chain(factors)
     transformed = [row[-1] for row in augmented]
     factor_gcds = [math.gcd(e_i, m) for e_i in factors]
@@ -292,7 +371,6 @@ def butson_stewart_count(system: CongruenceSystem) -> CountReport:
         details={
             "modulus": m,
             "invariant_factors": factors,
-            "transformed_rhs": [c % m for c in transformed],
             "factor_gcds": factor_gcds,
         },
     )

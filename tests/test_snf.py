@@ -14,7 +14,13 @@ from congruences import (
     system_count,
 )
 from congruences import snf
-from congruences.snf import _diagonal_smith, _diagonalize, _hermite_basis
+from congruences.snf import (
+    _diagonal_smith,
+    _diagonalize,
+    _hermite_basis,
+    _index_multiple,
+    _prime_to,
+)
 
 
 def mat_mul(a, b):
@@ -328,7 +334,15 @@ def check_hermite_basis(matrix):
         for right, i in zip(basis[j + 1 :], pivots[j + 1 :]):
             assert -right[i] <= 2 * col[i] < right[i]
     b = Matrix(k, r, [col[i] for i in range(k) for col in basis])
-    assert hermite_normal_form(Matrix(matrix)) == hermite_normal_form(b)
+    reference = hermite_normal_form(Matrix(matrix))
+    assert reference == hermite_normal_form(b)
+    # The modulus of the index step is a multiple of the lattice index,
+    # det of the reference form, whenever the rank is k.
+    modulus = _index_multiple(matrix)
+    if r == k:
+        assert modulus % int(reference.det()) == 0
+    else:
+        assert modulus is None
     return basis
 
 
@@ -361,6 +375,111 @@ def test_hermite_basis_spans_the_column_lattice():
     # Entries that fill the pivot rows: the basis is reduced, (2, 5) and
     # (0, 7) become (2, -2) and (0, 7).
     assert _hermite_basis(((2, 0), (5, 7)), 2, 2) == [[2, -2], [0, 7]]
+
+
+def with_basis(rng, rows, n):
+    """A k x n matrix whose columns span the lattice spanned by the columns of
+    the k x k rows: [rows | 0] times a random unimodular n x n matrix."""
+    padded = [list(row) + [0] * (n - len(row)) for row in rows]
+    w = random_unimodular(rng, n, 3 * n) if n > 1 else [[rng.choice((1, -1))]]
+    return mat_mul(padded, w)
+
+
+def test_index_step_by_case(monkeypatch):
+    # The rank checks mod p that the index step makes, as (p, passed).
+    checks = []
+    eliminate = snf._eliminate
+
+    def spy(matrix, p=0):
+        row = eliminate(matrix, p)
+        if p:
+            checks.append((p, any(row or ())))
+        return row
+
+    monkeypatch.setattr(snf, "_eliminate", spy)
+    # Index 1, though the minors the elimination leaves in its last row, 0
+    # and 2, are even: A mod 2 has rank 2, so 2 leaves the modulus.
+    matrix = ((2, 1, 0), (0, 0, 1))
+    assert _index_multiple(matrix) == 1
+    assert checks == [(2, True)]
+    assert check_hermite_basis(matrix) == [[1, 0], [0, 1]]
+    # Indices 8, 9 and 6, two with entries left of the pivot in a pivot row:
+    # each prime of the index stays in the modulus, as A mod p has rank
+    # below k.
+    rng = random.Random(50)
+    for rows, basis in (
+        (((1, 0, 0), (0, 1, 0), (3, 5, 8)), [[1, 0, 3], [0, 1, -3], [0, 0, 8]]),
+        (((3, 0, 0), (1, 3, 0), (0, 2, 1)), [[3, 1, 0], [0, 3, 0], [0, 0, 1]]),
+        (((2, 0), (1, 3)), [[2, 1], [0, 3]]),
+    ):
+        checks.clear()
+        index = det(rows)
+        matrix = with_basis(rng, rows, len(rows) + 2)
+        assert _index_multiple(matrix) % index == 0
+        assert all(index % p == 0 for p, passed in checks if not passed)
+        assert check_hermite_basis(matrix) == basis
+    # An index prime past the trial primes stays in the modulus unfactored.
+    matrix = with_basis(rng, ((1, 0), (0, 1000003)), 4)
+    assert _index_multiple(matrix) % 1000003 == 0
+    assert check_hermite_basis(matrix) == [[1, 0], [0, 1000003]]
+    # Rank below k, and k > n: no modulus, so no rank check either.
+    checks.clear()
+    for matrix in (((1, 2, 3), (2, 4, 6)), ((1, 0), (0, 1), (1, 1)), ((0, 0, 0),)):
+        assert _index_multiple(matrix) is None
+        check_hermite_basis(matrix)
+    assert checks == []
+    # Random lattices of index above 1, from lower triangular bases.
+    for _ in range(60):
+        k = rng.randrange(1, 6)
+        rows = [
+            [rng.choice((1, 1, 2, 3, 4, 9)) if i == j else rng.randrange(-9, 10) * (j < i)
+             for j in range(k)]
+            for i in range(k)
+        ]
+        check_hermite_basis(with_basis(rng, rows, k + rng.randrange(3)))
+
+
+def test_coprime_split_against_enumeration_and_the_lifted_smith_form():
+    # Full-rank systems A = [B | 0] W of index h = det B > 1, with a planted
+    # solution x0 whose rhs A x0 is then changed in one of three ways: at the
+    # primes of h only, away from them only, or not at all. Away from h, B is
+    # invertible, so only the first kind can be unsolvable.
+    rng = random.Random(51)
+    unsolvable = [0, 0, 0]
+    checked = 0
+    while checked < 150:
+        k = rng.randrange(1, 4)
+        n = rng.randrange(k, 4)
+        moduli = tuple(rng.randrange(2, 13) for _ in range(k))
+        if math.lcm(*moduli) ** n > 3 * 10**5:
+            continue
+        rows = [
+            [rng.choice((1, 2, 3, 4, 6)) if i == j else rng.randrange(-5, 6) * (j < i)
+             for j in range(k)]
+            for i in range(k)
+        ]
+        h = det(rows)
+        if h == 1:
+            continue
+        matrix = with_basis(rng, rows, n)
+        x0 = [rng.randrange(12) for _ in range(n)]
+        rhs = [sum(a * x for a, x in zip(row, x0)) for row in matrix]
+        kind = checked % 3
+        for i, m_i in enumerate(moduli):
+            q = m_i // _prime_to(m_i, h)
+            if kind == 0:
+                rhs[i] += m_i // q * rng.randrange(q)
+            elif kind == 1:
+                rhs[i] += q * rng.randrange(m_i // q)
+        system = CongruenceSystem(matrix, moduli, tuple(rhs))
+        report = butson_stewart_count(system)
+        lifted, _, _ = lift_to_common_modulus(system)
+        factors = smith_normal_form(lifted).invariant_factors
+        assert tuple(report.details["invariant_factors"]) == factors
+        assert report.count == enumerate_solutions(system)[0], system
+        unsolvable[kind] += not report.solvable
+        checked += 1
+    assert unsolvable[0] >= 10 and unsolvable[1] == unsolvable[2] == 0
 
 
 def column_changes(rng, rows, steps):
@@ -423,8 +542,8 @@ def test_butson_stewart_invariant_under_unimodular_column_changes():
 
 
 def diagonal_route(system):
-    """The lifted D B of butson_stewart_count when its Hermite basis B is
-    square and diagonal, as (diagonal, lifted rhs, m); else None."""
+    """The lifted D B of the system when its Hermite basis B is square and
+    diagonal, as (diagonal, lifted rhs, m); else None."""
     k = system.k
     basis = _hermite_basis(system.coefficients, k, system.n)
     if len(basis) != k or any(col[i] for j, col in enumerate(basis) for i in range(j + 1, k)):
@@ -521,20 +640,37 @@ def test_diagonal_smith_agrees_with_enumeration_and_the_pivot_loop():
 
 
 def test_butson_stewart_takes_both_routes(monkeypatch):
-    # snf-wide shapes have Hermite bases on both sides of the choice.
-    calls = {"swaps": 0, "pivot loop": 0}
+    # snf-wide shapes have full-rank lattices of index 1 and of index above 1.
+    # Each takes the swaps once; only an index above 1 runs the pivot loop,
+    # and then on the small diag(g) B, never on the lifted D B.
+    calls = {"swaps": 0, "pivot loop": []}
+    diagonal_smith, diagonalize = snf._diagonal_smith, snf._diagonalize
 
-    def spy(name, fn):
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapped
+    def swaps(diagonal):
+        calls["swaps"] += 1
+        return diagonal_smith(diagonal)
 
-    monkeypatch.setattr(snf, "_diagonal_smith", spy("swaps", snf._diagonal_smith))
-    monkeypatch.setattr(snf, "_diagonalize", spy("pivot loop", snf._diagonalize))
+    def pivot_loop(a, k, n):
+        calls["pivot loop"].append([row[:n] for row in a[:k]])
+        return diagonalize(a, k, n)
+
+    monkeypatch.setattr(snf, "_diagonal_smith", swaps)
+    monkeypatch.setattr(snf, "_diagonalize", pivot_loop)
     rng = random.Random(49)
+    indices = []
     for k in range(4, 17):
         for _ in range(3):
-            butson_stewart_count(snf_wide_system(rng, k))
-    assert calls["swaps"] > 0 and calls["pivot loop"] > 0
-    assert calls["swaps"] + calls["pivot loop"] == 39
+            system = snf_wide_system(rng, k)
+            basis = _hermite_basis(system.coefficients, k, system.n)
+            assert len(basis) == k
+            indices.append(math.prod(col[i] for i, col in enumerate(basis)))
+            lifted, _, _ = lift_to_common_modulus(
+                CongruenceSystem(tuple(zip(*basis)), system.moduli, system.rhs)
+            )
+            seen = len(calls["pivot loop"])
+            butson_stewart_count(system)
+            lifted = [list(row) for row in lifted]
+            assert all(block != lifted for block in calls["pivot loop"][seen:])
+    assert 1 in indices and any(h > 1 for h in indices)
+    assert calls["swaps"] == 39
+    assert len(calls["pivot loop"]) == sum(h > 1 for h in indices)

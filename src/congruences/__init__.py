@@ -10,13 +10,11 @@ from .errors import (
 from .ffsystems import (
     PolyCongruenceSystem,
     PolyRestrictionTable,
-    crt_poly,
     enumerate_solutions_ff,
     eta,
     eta_closed_form,
     eta_direct_oracle,
     i_and_j_functions_ff,
-    restricted_count_unit_coeffs_ff,
     restricted_system_count_ff,
     single_restricted_count_ff,
     system_count_ff,
@@ -71,10 +69,8 @@ from .systems import (
     CongruenceSystem,
     DivisorTable,
     RestrictionTable,
-    crt_solve,
     enumerate_solutions,
     lehmer_count,
-    restricted_count_unit_coeffs,
     restricted_system_count,
     single_restricted_count,
     system_count,

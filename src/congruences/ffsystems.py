@@ -5,7 +5,8 @@ The counting theorems and character sums live once in `systems`; `PolyRing`
 supplies their polynomial analogues: |H| = p^deg(H) replaces the modulus and
 eta(G, H) the Ramanujan sum. Additive characters are handled through their
 exponents (integers in [0, p)), never through complex numbers. The eta, I/J
-and `_ff` functions and `crt_poly` are entry points over the shared formulas.
+and `_ff` functions are entry points over the shared formulas, and CRT is
+`PolyRing.crt`.
 """
 
 from __future__ import annotations
@@ -37,13 +38,11 @@ from .systems import (
     _j_value,
     _ramanujan_divisor_sum,
     _ramanujan_sum,
-    _require_pairwise_coprime,
     _restriction_triples,
     _scan,
     _scan_modulus,
     _single_restricted,
     _SystemRows,
-    _unit_coefficient_sum,
     restricted_system_count,
     system_count,
 )
@@ -211,18 +210,6 @@ class PolyRestrictionTable(RestrictionTable):
     _kind = PolyRing
 
 
-def crt_poly(
-    rhs: Sequence[GFPolynomial], moduli: Sequence[GFPolynomial]
-) -> tuple[GFPolynomial, GFPolynomial]:
-    """Simultaneous residue modulo the product of pairwise coprime moduli."""
-    if not moduli:
-        raise ValueError("residues and moduli must be equal-length and nonempty")
-    ring = PolyRing(moduli[0].field)
-    solved = ring.crt(rhs, moduli)  # first, so that its ValueErrors come first
-    _require_pairwise_coprime(ring, moduli)
-    return solved
-
-
 # A system carries its ring, so the generic counts take F_p[t] systems as they are.
 system_count_ff = system_count
 restricted_system_count_ff = restricted_system_count
@@ -233,18 +220,6 @@ def single_restricted_count_ff(
 ) -> CountReport:
     """Count X mod H with A*X = B mod H and gcd(X, H) = T (monic T)."""
     return _single_restricted(PolyRing(h.field), a, b, h, t)
-
-
-def restricted_count_unit_coeffs_ff(
-    h: GFPolynomial, b: GFPolynomial, t: Sequence[GFPolynomial]
-) -> CountReport:
-    """Solutions of X_1 + ... + X_n = B mod H with gcd(X_i, H) = H_i.
-
-    (1/|H|) * sum over monic D | H of eta(B, D) * prod_i eta(H/D, H/H_i).
-    """
-    if h.degree < 1:
-        raise ValueError("modulus must be non-constant")
-    return _unit_coefficient_sum(PolyRing(h.field), h, b, t)
 
 
 def i_and_j_functions_ff(

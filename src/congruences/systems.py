@@ -216,14 +216,6 @@ def _crt(ring: IntRing | PolyRing, residues: Sequence, moduli: Sequence):
     return b, m
 
 
-def crt_solve(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int] | None:
-    """Simultaneous residue b mod lcm(moduli), or None when inconsistent.
-
-    Solvable exactly when every pair satisfies b_i = b_j mod gcd(m_i, m_j).
-    """
-    return _crt(INT, residues, moduli)
-
-
 def lehmer_count(a: Sequence[int], b: int, m: int) -> CountReport:
     """Count solutions of a single congruence a.x = b mod m in Z_m^n."""
     if m < 2:
@@ -377,8 +369,9 @@ class DivisorTable(Sequence):
     the row products.
 
     A read-only sequence of row dicts {"divisor", "rhs_value",
-    "variable_values", "product"}; each row is made when it is read, and
-    variable_values is a list. A table equals any sequence of equal rows.
+    "variable_values", "product"}, read by integer index or by iteration;
+    each row is made when it is read, and variable_values is a list. A table
+    equals any sequence of equal rows.
     """
 
     divisors: tuple
@@ -390,8 +383,6 @@ class DivisorTable(Sequence):
         return len(self.divisors)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
         return {
             "divisor": self.divisors[i],
             "rhs_value": self.rhs_values[i],
@@ -539,43 +530,6 @@ def restricted_system_count(
             "divisor_sum": total,
         },
     )
-
-
-def _unit_coefficient_sum(
-    ring: IntRing | PolyRing, m: Any, b: Any, t: Sequence[Any]
-) -> CountReport:
-    """Solutions of x_1 + ... + x_n = b mod m with gcd(x_i, m) = t_i.
-
-    Evaluated as (1/|m|) * sum over d | m of C_d(b) * prod_i C_{m/t_i}(m/d),
-    the divisor sum built prime by prime with M_i = m/t_i; the sum is
-    asserted divisible by |m| and the result nonnegative.
-    """
-    if not t:
-        raise ValueError("at least one restriction required")
-    m = ring.normalise(m)
-    if not all(ring.is_normal(t_i) and ring.divides(t_i, m) for t_i in t):
-        raise ValueError(f"each t_i must be a {ring.normal_word} divisor of m")
-    table, total = prime_by_prime_divisor_table(ring, m, b, [m // t_i for t_i in t])
-    count = _divide_by_norm(ring, total, m)
-    if count < 0:
-        raise ExactnessError("restricted count must be nonnegative")
-    return CountReport(
-        count=count,
-        solvable=count > 0,
-        theorem="restricted_sum" + ring.suffix,
-        details={ring.norm_key: ring.norm(m), "divisor_table": table, "divisor_sum": total},
-    )
-
-
-def restricted_count_unit_coeffs(m: int, b: int, t: Sequence[int]) -> int:
-    """Solutions of x_1 + ... + x_n = b mod m with gcd(x_i, m) = t_i.
-
-    Evaluated as (1/m) * sum over d | m of C_d(b) * prod_i C_{m/t_i}(m/d); the
-    divisor sum is asserted divisible by m and the result nonnegative.
-    """
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    return _unit_coefficient_sum(INT, m, b, t).count
 
 
 def _require_within_cap(total: int, cap: int) -> None:

@@ -20,8 +20,6 @@ from congruences import (
     PolyRestrictionTable,
     PrimeField,
     RestrictionTable,
-    crt_poly,
-    crt_solve,
     divisors,
     eta,
     factorize_poly,
@@ -29,8 +27,6 @@ from congruences import (
     poly_gcd,
     ramanujan_c_sum,
     residues,
-    restricted_count_unit_coeffs,
-    restricted_count_unit_coeffs_ff,
     restricted_system_count,
     restricted_system_count_ff,
 )
@@ -41,7 +37,7 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def per_divisor_table_int(system, restrictions):
     """Rows of sum_{d | m} C_d(b) prod_l C_{m/(t_l d_l)}(m/d), one divisor at a time."""
-    b, m = crt_solve(system.rhs, system.moduli)
+    b, m = system.ring.crt(system.rhs, system.moduli)
     t_cols, d_cols = [], []
     for j in range(system.n):
         t_j = d_j = 1
@@ -67,7 +63,7 @@ def per_divisor_table_int(system, restrictions):
 
 def per_divisor_table_ff(system, restrictions):
     """The polynomial analogue: eta(B, D) and eta(H/D, H/(T_l D_l)) per monic D | H."""
-    b, big_h = crt_poly(system.rhs, system.moduli)
+    b, big_h = system.ring.crt(system.rhs, system.moduli)
     big_h = big_h.monic()
     one = GFPolynomial.one(system.field)
     t_cols, d_cols = [], []
@@ -94,18 +90,22 @@ def per_divisor_table_ff(system, restrictions):
     return rows
 
 
-def unit_coefficient_inputs(system, restrictions, crt):
-    """(m, b, t) for x_1 + ... + x_n = b mod m with gcd(x_j, m) = t_j, taken
-    from a system: m and b from its CRT, t_j the product of column j's
-    restrictions."""
-    b, m = crt(system.rhs, system.moduli)
+def unit_coefficient_system(system, restrictions):
+    """The one-row system x_1 + ... + x_n = b mod m with gcd(x_j, m) = t_j,
+    taken from a system: m and b from its CRT, t_j the product of column j's
+    restrictions. Every coefficient is 1, so every d_j is 1."""
+    ring = system.ring
+    b, m = ring.crt(system.rhs, system.moduli)
     t = []
     for column in zip(*restrictions.entries):
         t_j = column[0]
         for t_ij in column[1:]:
             t_j = t_j * t_ij
         t.append(t_j)
-    return m, b, t
+    return (
+        ring.system(((ring.one,) * len(t),), (m,), (b,)),
+        ring.restriction_table((tuple(t),)),
+    )
 
 
 def random_int_system(rng, exponents):
@@ -208,14 +208,13 @@ def assert_table_rows(table, sort_key):
 
 def assert_reads_as_rows(table, rows, capsys):
     """table is a DivisorTable that reads as the list rows, by length,
-    index (negative too), slice and iteration, and compares equal to it
+    index (negative too) and iteration, and compares equal to it
     from either side. A row read from it is a fresh dict: changing it
     changes neither the table nor what the CLI writes of it. A table with
     one product changed differs."""
     assert type(table) is DivisorTable
     assert len(table) == len(rows)
     assert table[-1] == rows[-1] and table[-len(rows)] == rows[0]
-    assert table[-2:] == rows[-2:]
     assert list(table) == rows
     assert table == rows and rows == table
     products = (*table.products[:-1], table.products[-1] + 1)
@@ -248,12 +247,12 @@ def test_int_divisor_table_matches_per_divisor_evaluation():
         assert len(table) == math.prod(e + 1 for e in exponents)
         assert report.details["divisor_sum"] == sum(row["product"] for row in table)
         nonzero += report.details["divisor_sum"] != 0
-        m, b, t = unit_coefficient_inputs(system, restrictions, crt_solve)
-        unit_system = CongruenceSystem(((1,) * len(t),), (m,), (b,))
-        unit_table = per_divisor_table_int(unit_system, RestrictionTable((tuple(t),)))
-        assert restricted_count_unit_coeffs(m, b, t) == sum(
-            row["product"] for row in unit_table
-        ) // m
+        unit_system, unit_restrictions = unit_coefficient_system(system, restrictions)
+        unit_report = restricted_system_count(unit_system, unit_restrictions)
+        m = unit_system.moduli[0]
+        unit_table = per_divisor_table_int(unit_system, unit_restrictions)
+        assert unit_report.details["divisor_table"] == unit_table
+        assert unit_report.count == sum(row["product"] for row in unit_table) // m
     assert nonzero >= 10
 
 
@@ -271,14 +270,11 @@ def test_ff_divisor_table_matches_per_divisor_evaluation():
         assert_table_rows(table, GFPolynomial.sort_key)
         assert report.details["divisor_sum"] == sum(row["product"] for row in table)
         nonzero += report.details["divisor_sum"] != 0
-        big_h, b, t = unit_coefficient_inputs(system, restrictions, crt_poly)
-        one = GFPolynomial.one(field)
-        unit_system = PolyCongruenceSystem(field, ((one,) * len(t),), (big_h,), (b,))
-        unit_report = restricted_count_unit_coeffs_ff(big_h, b, t)
+        unit_system, unit_restrictions = unit_coefficient_system(system, restrictions)
+        unit_report = restricted_system_count_ff(unit_system, unit_restrictions)
         assert unit_report.details["divisor_table"] == per_divisor_table_ff(
-            unit_system, PolyRestrictionTable((tuple(t),))
+            unit_system, unit_restrictions
         )
-        assert unit_report.theorem == "restricted_sum_poly"
     assert nonzero >= 8
 
 

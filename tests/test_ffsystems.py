@@ -12,7 +12,6 @@ from congruences import (
     PolyCongruenceSystem,
     PolyRestrictionTable,
     PrimeField,
-    crt_poly,
     enumerate_solutions_ff,
     eta,
     eta_closed_form,
@@ -23,13 +22,13 @@ from congruences import (
     poly_gcd,
     poly_lcm_many,
     residues,
-    restricted_count_unit_coeffs_ff,
     restricted_system_count_ff,
     single_restricted_count_ff,
     system_count_ff,
     tau,
 )
 from congruences.dsl import build_restrictions, build_system, parse_system
+from congruences.ffsystems import PolyRing
 from congruences.systems import _SCAN_BLOCK
 from oracle_utils import (
     brute_count_ff,
@@ -192,17 +191,18 @@ def test_gcd_class_character_sums_give_eta():
 
 
 def test_crt_poly_examples():
-    b, m = crt_poly((P(5, 1, 3), P(5, 3)), (P(5, 0, 0, 1), P(5, 1, 1)))
+    crt5, crt3 = PolyRing(PrimeField(5)).crt, PolyRing(PrimeField(3)).crt
+    b, m = crt5((P(5, 1, 3), P(5, 3)), (P(5, 0, 0, 1), P(5, 1, 1)))
     assert b == P(5, 1, 3)
     assert m == P(5, 0, 0, 1, 1)
-    b, m = crt_poly((P(3, 1, 3), P(3, 1)), (P(3, 0, 0, 1), P(3, 1, 1)))
+    b, m = crt3((P(3, 1, 3), P(3, 1)), (P(3, 0, 0, 1), P(3, 1, 1)))
     assert b == P(3, 1)
-    with pytest.raises(HypothesisError):
-        crt_poly((P(3, 1), P(3, 0)), (P(3, 0, 0, 1), P(3, 0, 1)))
+    # 1 mod t^2 and 0 mod t contradict each other.
+    assert crt3((P(3, 1), P(3, 0)), (P(3, 0, 0, 1), P(3, 0, 1))) is None
     with pytest.raises(ValueError):
-        crt_poly((), ())
+        crt3((), ())
     with pytest.raises(ValueError):
-        crt_poly((P(3, 1),), (P(3, 2),))
+        crt3((P(3, 1),), (P(3, 2),))
 
 
 def test_crt_poly_random():
@@ -221,7 +221,7 @@ def test_crt_poly_random():
         if not coprime:
             continue
         rhs = [random_poly(rng, field, rng.randrange(0, 4)) for _ in range(k)]
-        b, m = crt_poly(rhs, moduli)
+        b, m = PolyRing(field).crt(rhs, moduli)
         prod = moduli[0]
         for h in moduli[1:]:
             prod = prod * h
@@ -319,11 +319,12 @@ def test_restricted_sum_ff_three_routes():
         n = rng.randrange(1, 3)
         t = tuple(rng.choice(monic_divisors(h)) for _ in range(n))
         b = random_poly(rng, field, rng.randrange(0, 4))
-        report = restricted_count_unit_coeffs_ff(h, b, t)
+        # The one-row system X_1 + ... + X_n = B mod H with unit coefficients.
+        system = PolyCongruenceSystem(field, ((GFPolynomial.one(field),) * n,), (h,), (b,))
+        count = restricted_system_count_ff(system, PolyRestrictionTable((t,))).count
         brute = brute_sum_restricted_ff(h, b, t)
         i_val, _ = i_and_j_functions_ff(b, tuple(h // t_i for t_i in t), h)
-        assert report.count == brute == i_val
-        assert report.theorem == "restricted_sum_poly"
+        assert count == brute == i_val
 
 
 def _restricted_reference_system(p: int):

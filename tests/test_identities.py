@@ -1,0 +1,136 @@
+"""Exact identities that check the counting formulas where the oracle cannot.
+
+CRT factorization: for pairwise coprime moduli m_1..m_k, x mod m is the tuple
+of its residues x mod m_i, row i and the restrictions gcd(x_j, m_i) = t_ij
+read only x mod m_i, so the count of the system is the product of the counts
+of its rows, each taken alone in (R/m_i)^n, restricted or not.
+
+What it can catch: a slip in how the whole-system formula combines rows (the
+CRT residue b, the column products t_j and d_j, the phi ratio over m, the
+divisor table of m against those of the m_i). What it cannot catch: a wrong
+one-row formula, since both sides use it, nor an error in what both sides
+share: factoring, the local Ramanujan (eta) values and `_crt`. The systems
+drawn here lie past the oracle's 10^8 tuples, so no scan checks them.
+"""
+
+import math
+import random
+
+import pytest
+
+from congruences import (
+    CapExceededError,
+    GFPolynomial,
+    PrimeField,
+    factorize_poly,
+    is_probable_prime,
+    poly_gcd,
+    restricted_system_count,
+    system_count,
+)
+from congruences.ffsystems import PolyRing
+from congruences.systems import INT, oracle_count
+from oracle_utils import random_poly
+
+ORACLE_CAP = 10**8
+
+
+def int_prime(rng):
+    """A prime of 7 to 9 digits: above the trial-division bound of 10^6,
+    and split off by Pollard rho within its step budget."""
+    p = rng.randrange(10**6, 10**9)
+    while not is_probable_prime(p):
+        p += 1
+    return p
+
+
+def int_rows(rng, k, n):
+    """k rows mod p^e (distinct primes p, e <= 2) with coefficients and a
+    planted solution x that often share powers of p, b = A.x and t the gcds
+    of x."""
+    primes = set()
+    while len(primes) < k:
+        primes.add(int_prime(rng))
+    rows = []
+    for p in sorted(primes):
+        e = rng.randint(1, 2)
+        m = p**e
+
+        def shared():
+            return rng.randrange(m) * p ** rng.randint(0, e) % m
+
+        a = tuple(shared() for _ in range(n))
+        x = [shared() for _ in range(n)]
+        b = sum(a_j * x_j for a_j, x_j in zip(a, x)) % m
+        rows.append((a, m, b, tuple(math.gcd(x_j, m) for x_j in x)))
+    return rows
+
+
+def irreducible(rng, field, degree):
+    while True:
+        h = random_poly(rng, field, degree).monic()
+        if factorize_poly(h).factors == ((h, 1),):
+            return h
+
+
+def poly_rows(rng, field, k, n):
+    """k rows mod P^e (distinct monic irreducibles P, e <= 2), each of which
+    alone passes the oracle cap: |P^e|^n > 10^8. Coefficients, the planted
+    solution, b and t as in `int_rows`."""
+    least = math.floor(math.log(ORACLE_CAP, field.p) / n) + 1  # deg(P^e) at least
+    zero = GFPolynomial.zero(field)
+    chosen = []
+    rows = []
+    while len(rows) < k:
+        e = rng.randint(1, 2)
+        big_p = irreducible(rng, field, -(-least // e) + rng.randint(0, 2))
+        if big_p in chosen:
+            continue
+        chosen.append(big_p)
+        h = GFPolynomial.one(field)
+        for _ in range(e):
+            h = h * big_p
+
+        def shared():
+            out = random_poly(rng, field, h.degree)
+            for _ in range(rng.randint(0, e)):
+                out = out * big_p
+            return out % h
+
+        a = tuple(shared() for _ in range(n))
+        x = [shared() for _ in range(n)]
+        b = zero
+        for a_j, x_j in zip(a, x):
+            b = b + a_j * x_j
+        rows.append((a, h, b % h, tuple(poly_gcd(x_j, h) for x_j in x)))
+    return rows
+
+
+def build(ring, rows):
+    """The system of the rows (a, m, b, t) and its restriction table."""
+    a, m, b, t = zip(*rows)
+    return ring.system(a, m, b), ring.restriction_table(t)
+
+
+def test_crt_factorization_past_the_oracle_cap():
+    rng = random.Random(0xC27)
+    # Few Z systems: each count factors up to 2n + 1 products of primes
+    # above 10^6, at 50-80 ms of trial division to 10^6 apiece.
+    cases = [(INT, int_rows(rng, rng.randint(2, 3), rng.randint(2, 3))) for _ in range(5)]
+    for case in range(20):
+        field = PrimeField((2, 3)[case % 2])
+        rows = poly_rows(rng, field, rng.randint(2, 3), rng.randint(2, 3))
+        cases.append((PolyRing(field), rows))
+    for ring, rows in cases:
+        system, restrictions = build(ring, rows)
+        with pytest.raises(CapExceededError):
+            oracle_count(system, restrictions)
+        one_row = [build(ring, [row]) for row in rows]
+        plain = system_count(system).count
+        assert plain > 0
+        assert plain == math.prod(system_count(s).count for s, _ in one_row)
+        restricted = restricted_system_count(system, restrictions).count
+        assert restricted > 0
+        assert restricted == math.prod(
+            restricted_system_count(s, table).count for s, table in one_row
+        )

@@ -6,7 +6,10 @@ import random
 import pytest
 
 from congruences import (
+    CongruenceSystem,
+    HypothesisError,
     MultiIndex,
+    RestrictionTable,
     divisors,
     e_function,
     euler_phi,
@@ -14,7 +17,7 @@ from congruences import (
     mobius,
     ramanujan_c,
     ramanujan_c_sum,
-    restricted_count_unit_coeffs,
+    restricted_system_count,
 )
 from oracle_utils import brute_sum_restricted, cyclotomic_dft
 
@@ -126,6 +129,13 @@ def test_e_function_values():
     assert e_function(0, MultiIndex((2,), 2)) == 0
 
 
+def unit_coefficient_count(m, b, t):
+    """Solutions of x_1 + ... + x_n = b (mod m) with gcd(x_i, m) = t_i: the
+    one-row restricted system with every coefficient 1."""
+    system = CongruenceSystem(((1,) * len(t),), (m,), (b,))
+    return restricted_system_count(system, RestrictionTable((tuple(t),))).count
+
+
 def test_e_function_counts_restricted_sums():
     # E(b; m/t_1, ..., m/t_n) with ambient m counts solutions of
     # x_1 + ... + x_n = b (mod m) with gcd(x_i, m) = t_i; check all three
@@ -137,7 +147,7 @@ def test_e_function_counts_restricted_sums():
         t = tuple(rng.choice(divisors(m)) for _ in range(n))
         b = rng.randrange(m)
         via_e = e_function(b, MultiIndex(tuple(m // t_i for t_i in t), m))
-        via_sum = restricted_count_unit_coeffs(m, b, t)
+        via_sum = unit_coefficient_count(m, b, t)
         brute = brute_sum_restricted(m, b, t)
         assert via_e == via_sum == brute
 
@@ -160,19 +170,13 @@ def test_moebius_inversion_of_e():
 
 def test_restricted_count_unit_coeffs_values():
     # x + y = 0 mod 12 with both unknowns units: y = -x, so phi(12) solutions.
-    assert restricted_count_unit_coeffs(12, 0, (1, 1)) == 4
-    assert restricted_count_unit_coeffs(12, 0, (1, 1)) == brute_sum_restricted(
-        12, 0, (1, 1)
-    )
+    assert unit_coefficient_count(12, 0, (1, 1)) == 4
+    assert unit_coefficient_count(12, 0, (1, 1)) == brute_sum_restricted(12, 0, (1, 1))
     # Single unknown: gcd(b, m) must equal t.
-    assert restricted_count_unit_coeffs(12, 4, (4,)) == 1
-    assert restricted_count_unit_coeffs(12, 4, (2,)) == 0
-    # m = 1: the single residue 0 solves everything.
-    assert restricted_count_unit_coeffs(1, 0, (1,)) == 1
+    assert unit_coefficient_count(12, 4, (4,)) == 1
+    assert unit_coefficient_count(12, 4, (2,)) == 0
 
 
 def test_restricted_count_validation():
-    with pytest.raises(ValueError):
-        restricted_count_unit_coeffs(12, 0, (5,))  # 5 does not divide 12
-    with pytest.raises(ValueError):
-        restricted_count_unit_coeffs(12, 0, ())
+    with pytest.raises(HypothesisError):
+        unit_coefficient_count(12, 0, (5,))  # 5 does not divide 12

@@ -10,7 +10,6 @@ from congruences import (
     CongruenceSystem,
     HypothesisError,
     RestrictionTable,
-    crt_solve,
     divisors,
     enumerate_solutions,
     lehmer_count,
@@ -18,25 +17,25 @@ from congruences import (
     single_restricted_count,
     system_count,
 )
-from congruences.systems import _SCAN_BLOCK
+from congruences.systems import INT, _SCAN_BLOCK
 from oracle_utils import brute_count_int, brute_count_int_naive, random_int_instance
 
 
 def test_crt_examples():
-    assert crt_solve((7, 9), (15, 14)) == (37, 210)
-    assert crt_solve((1, 2), (4, 6)) is None
-    assert crt_solve((1, 3), (4, 6)) == (9, 12)
-    assert crt_solve((5,), (7,)) == (5, 7)
-    assert crt_solve((-1, -1), (4, 6)) == (11, 12)
+    assert INT.crt((7, 9), (15, 14)) == (37, 210)
+    assert INT.crt((1, 2), (4, 6)) is None
+    assert INT.crt((1, 3), (4, 6)) == (9, 12)
+    assert INT.crt((5,), (7,)) == (5, 7)
+    assert INT.crt((-1, -1), (4, 6)) == (11, 12)
 
 
 def test_crt_validation():
     with pytest.raises(ValueError):
-        crt_solve((), ())
+        INT.crt((), ())
     with pytest.raises(ValueError):
-        crt_solve((1, 2), (4,))
+        INT.crt((1, 2), (4,))
     with pytest.raises(ValueError):
-        crt_solve((0,), (1,))
+        INT.crt((0,), (1,))
 
 
 def test_crt_random_vs_brute():
@@ -49,7 +48,7 @@ def test_crt_random_vs_brute():
         matches = [
             x for x in range(m) if all((x - r) % m_i == 0 for r, m_i in zip(residues, moduli))
         ]
-        got = crt_solve(residues, moduli)
+        got = INT.crt(residues, moduli)
         if not matches:
             assert got is None
         else:

@@ -43,14 +43,17 @@ def parse_args(description: str, out_name: str) -> argparse.Namespace:
     return args
 
 
-def write_run(out: Path, label: str, ladder: list[dict]) -> None:
-    """Store ladder under label in out, next to the runs of other labels."""
+def write_run(out: Path, label: str, ladder: list[dict], repeats: int = REPEATS,
+              **facts) -> None:
+    """Store ladder under label in out, next to the runs of other labels,
+    with facts about the run beside the machine's."""
     document = json.loads(out.read_text()) if out.exists() else {}
     document.setdefault("runs", {})[label] = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
-        "repeats": REPEATS,
+        "repeats": repeats,
+        **facts,
         "ladder": ladder,
     }
     out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")

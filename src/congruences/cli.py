@@ -8,6 +8,9 @@ hypothesis violated or work cap exceeded, 3 verification mismatch.
 Each `_cmd_*` handler returns only its payload. `_run` decides the exit code,
 in one place: from the exception a handler raised, else from the payload's
 "agreement". It adds the schema key and writes the document once.
+
+The Smith-form, Ramanujan-sum and F_p[t] modules are imported by the handlers
+and documents that use them, so a count over Z never loads them.
 """
 
 from __future__ import annotations
@@ -29,12 +32,8 @@ from .dsl import (
     parse_system,
 )
 from .errors import CapExceededError, HypothesisError
-from .ffsystems import eta
-from .gfpoly import GFPolynomial, PrimeField, format_poly, phi_poly
 from .intarith import euler_phi
-from .ramanujan import ramanujan_c
 from .report import CountReport
-from .snf import butson_stewart_count
 from .systems import (
     CongruenceSystem,
     DEFAULT_ENUMERATION_CAP,
@@ -46,6 +45,9 @@ from .systems import (
 )
 
 SCHEMA = "1"
+# Where GFPolynomial lives. A polynomial exists only once that module is
+# loaded, so _json_scalar finds it in sys.modules and never imports it.
+_GFPOLY = f"{__package__}.gfpoly"
 
 
 class _UsageError(Exception):
@@ -86,8 +88,9 @@ def _json_scalar(value: Any) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, GFPolynomial):
-        return _quote(format_poly(value))
+    gfpoly = sys.modules.get(_GFPOLY)
+    if gfpoly is not None and isinstance(value, gfpoly.GFPolynomial):
+        return _quote(gfpoly.format_poly(value))
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -226,6 +229,8 @@ def _cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
         if table is not None:
             methods["snf"] = {"skipped": "restrictions present"}
         else:
+            from .snf import butson_stewart_count
+
             snf_report = butson_stewart_count(system)
             methods["snf"] = {
                 "count": str(snf_report.count),
@@ -249,6 +254,8 @@ def _cmd_snf(args: argparse.Namespace) -> dict[str, Any]:
     system = build_system(_load(args.file))
     if not _is_integer(system):
         raise _UsageError("snf applies to integer systems only")
+    from .snf import butson_stewart_count
+
     report = butson_stewart_count(system)
     return {
         "modulus": str(report.details["modulus"]),
@@ -269,10 +276,15 @@ def _cmd_crt(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_ramanujan(args: argparse.Namespace) -> dict[str, Any]:
+    from .ramanujan import ramanujan_c
+
     return {"value": str(ramanujan_c(args.m, args.a))}
 
 
 def _cmd_eta(args: argparse.Namespace) -> dict[str, Any]:
+    from .ffsystems import eta
+    from .gfpoly import PrimeField
+
     field = PrimeField(args.p)
     return {"value": str(eta(parse_poly(args.g, field), parse_poly(args.h, field)))}
 
@@ -284,6 +296,8 @@ def _cmd_phi(args: argparse.Namespace) -> dict[str, Any]:
             raise _UsageError("phi expects a positive integer")
         return {"value": str(euler_phi(n))}
     if len(args.values) == 2:
+        from .gfpoly import PrimeField, phi_poly
+
         h = parse_poly(args.values[1], PrimeField(_integer(args.values[0])))
         if h.is_zero:
             raise _UsageError("phi expects a nonzero polynomial")

@@ -34,12 +34,14 @@ import re
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from itertools import islice
-from typing import Any, Callable, Iterator, NoReturn
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NoReturn
 
 from .errors import CongruenceError, HypothesisError
-from .ffsystems import PolyCongruenceSystem, PolyRestrictionTable, PolyRing
-from .gfpoly import GFPolynomial, PrimeField
 from .systems import INT, CongruenceSystem, IntRing, RestrictionTable
+
+if TYPE_CHECKING:
+    from .ffsystems import PolyCongruenceSystem, PolyRestrictionTable, PolyRing
+    from .gfpoly import GFPolynomial, PrimeField
 
 _VARIABLE_RE = re.compile(r"x\d+")
 # Largest exponent of t in a polynomial term; a term allocates one list entry
@@ -127,7 +129,12 @@ class SystemDocument:
     @cached_property
     def ring(self) -> IntRing | PolyRing:
         """The ring the document's values live in."""
-        return INT if self.field_order is None else PolyRing(PrimeField(self.field_order))
+        if self.field_order is None:
+            return INT
+        from .ffsystems import PolyRing
+        from .gfpoly import PrimeField
+
+        return PolyRing(PrimeField(self.field_order))
 
 
 class _Parser:
@@ -145,8 +152,21 @@ class _Parser:
         self.tokens = _TOKEN_RE.findall(self.code)
         self.tokens.append("")
         self.pos = 0
+        self.field: PrimeField | None = None
+        self.ring: IntRing | PolyRing = INT
+        if field is not None:
+            self._use_field(field)
+
+    def _use_field(self, field: PrimeField) -> None:
+        """Read every expr as a polynomial over field from here on. The
+        F_p[t] modules are imported here, once per document, so an integer
+        document never loads them."""
+        from .ffsystems import PolyRing
+        from .gfpoly import GFPolynomial
+
         self.field = field
-        self.ring: IntRing | PolyRing = INT if field is None else PolyRing(field)
+        self.ring = PolyRing(field)
+        self._from_coeffs = GFPolynomial.from_coeffs
 
     # token plumbing and positions
 
@@ -237,7 +257,7 @@ class _Parser:
             if power > _MAX_EXPONENT:
                 self._fail(f"exponent exceeds the limit {_MAX_EXPONENT}", exponent_at)
         coeffs = [0] * power + [coeff]
-        return GFPolynomial.from_coeffs(self.field, coeffs)
+        return self._from_coeffs(self.field, coeffs)
 
     def _poly_sum(self) -> GFPolynomial:
         total = self.ring.zero
@@ -269,6 +289,8 @@ class _Parser:
     # statements
 
     def _header(self) -> PrimeField:
+        from .gfpoly import PrimeField
+
         self.pos += 1  # "field"
         self._expect("GF", "expected 'GF' after 'field'")
         self._expect("(", "expected '(' after 'GF'")
@@ -345,8 +367,7 @@ class _Parser:
 
     def document(self) -> SystemDocument:
         if self._at("field"):
-            self.field = self._header()
-            self.ring = PolyRing(self.field)
+            self._use_field(self._header())
         congruences: list[CongruenceLine] = []
         restrictions: list[RestrictionLine] = []
         while self.tokens[self.pos]:

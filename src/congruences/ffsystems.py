@@ -23,7 +23,6 @@ from .gfpoly import (
     format_poly,
     mobius_poly,
     monic_divisors,
-    phi_poly,
     poly_ext_gcd,
     poly_gcd,
     poly_lcm_many,
@@ -153,9 +152,6 @@ class PolyRing:
 
     def factor(self, h: GFPolynomial) -> tuple[tuple[GFPolynomial, int], ...]:
         return factorize_poly(h).factors
-
-    def phi(self, h: GFPolynomial) -> int:
-        return phi_poly(h)
 
     def mobius(self, h: GFPolynomial) -> int:
         return mobius_poly(h)

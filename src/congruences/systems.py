@@ -22,7 +22,7 @@ from itertools import product
 from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import CapExceededError, ExactnessError, HypothesisError
-from .intarith import divisors, euler_phi, factorize, mobius, nary_gcd, nary_lcm
+from .intarith import divisors, factorize, mobius, nary_gcd, nary_lcm
 from .report import CountReport
 
 if TYPE_CHECKING:
@@ -79,9 +79,6 @@ class IntRing:
 
     def factor(self, m: int) -> tuple[tuple[int, int], ...]:
         return factorize(m).factors
-
-    def phi(self, m: int) -> int:
-        return euler_phi(m)
 
     def mobius(self, m: int) -> int:
         return mobius(m)
@@ -266,10 +263,30 @@ def system_count(system: CongruenceSystem | PolyCongruenceSystem) -> CountReport
     )
 
 
-def _phi_ratio(ring: IntRing | PolyRing, num: Any, den: Any) -> int:
-    """phi(num) / phi(den), which the theory makes exact."""
-    phi_num = ring.phi(num)
-    phi_den = ring.phi(den)
+def _phi_of_quotient(ring: IntRing | PolyRing, factors: Sequence[tuple[Any, int]], c: Any) -> int:
+    """phi(m / c) for a normal divisor c of the modulus m whose prime
+    factorization is factors: the product of |P|^(v-1) (|P| - 1) over the
+    primes P^e of m with v = e - v_P(c) >= 1. Read from the valuations of c,
+    often a unit, so neither c nor m / c is factored."""
+    unit = c == ring.one
+    out = 1
+    for p, e in factors:
+        v = e if unit else e - _valuation(ring, p, c, e)
+        if v:
+            norm = ring.norm(p)
+            out *= norm ** (v - 1) * (norm - 1)
+    return out
+
+
+def _phi_ratio(
+    ring: IntRing | PolyRing, factors: Sequence[tuple[Any, int]], c: Any, d: Any
+) -> int:
+    """phi(m / c) / phi(m / (c d)) for the modulus m whose prime factorization
+    is factors, c d dividing m; the theory makes the ratio exact."""
+    if d == ring.one:
+        return 1
+    phi_num = _phi_of_quotient(ring, factors, c)
+    phi_den = _phi_of_quotient(ring, factors, c * d)
     if phi_num % phi_den:
         raise ExactnessError("phi ratio must be exact")
     return phi_num // phi_den
@@ -292,7 +309,8 @@ def _single_restricted(ring: IntRing | PolyRing, a: Any, b: Any, m: Any, t: Any)
         return CountReport(0, False, theorem,
                            {"reason": "gcd(a, m/t) differs from gcd(b/t, m/t)",
                             "coefficient_gcd": d})
-    count = _phi_ratio(ring, mt, mt // d)
+    # mt and mt/d both divide mt, so mt is the one number factored.
+    count = _phi_ratio(ring, ring.factor(mt), ring.one, d)
     return CountReport(count, count > 0, theorem,
                        {"coefficient_gcd": d, ring.norm_key: ring.norm(m)})
 
@@ -403,9 +421,13 @@ class DivisorTable(Sequence):
 
 
 def prime_by_prime_divisor_table(
-    ring: IntRing | PolyRing, m: Any, b: Any, column_moduli: Sequence[Any]
+    ring: IntRing | PolyRing,
+    factors: Sequence[tuple[Any, int]],
+    b: Any,
+    column_moduli: Sequence[Any],
 ) -> tuple[DivisorTable, int]:
-    """Rows and sum of  sum_{d | m} C_d(b) prod_l C_{M_l}(m/d), prime by prime.
+    """Rows and sum of  sum_{d | m} C_d(b) prod_l C_{M_l}(m/d), prime by prime,
+    for the modulus m whose prime factorization is factors.
 
     Each M_l divides m, and C is the Ramanujan sum (eta over F_p[t]). C_q(a)
     is multiplicative in q, so the row of d = prod_p p^f is the entrywise
@@ -425,7 +447,7 @@ def prime_by_prime_divisor_table(
     columns = [[1] for _ in column_moduli]
     products = [1]
     expected = 1
-    for p, e in ring.factor(m):
+    for p, e in factors:
         norm = ring.norm(p)
         v_b = _valuation(ring, p, b, e)
         local_divisors = [ring.one]
@@ -504,12 +526,14 @@ def restricted_system_count(
         t_cols.append(t_j)
         d_cols.append(d_j)
 
+    # Every phi argument and table column divides m, so m is the one number factored.
+    factors = ring.factor(m)
     ratio = 1
     for t_j, d_j in zip(t_cols, d_cols):
-        ratio *= _phi_ratio(ring, m // t_j, m // (t_j * d_j))
+        ratio *= _phi_ratio(ring, factors, t_j, d_j)
 
     table, total = prime_by_prime_divisor_table(
-        ring, m, b, [m // (t_l * d_l) for t_l, d_l in zip(t_cols, d_cols)]
+        ring, factors, b, [m // (t_l * d_l) for t_l, d_l in zip(t_cols, d_cols)]
     )
     count = ratio * _divide_by_norm(ring, total, m)
     if count < 0:

@@ -12,6 +12,10 @@ import operator
 import random
 
 import congruences.cli as cli_module
+import congruences.ffsystems as ffsystems_module
+import congruences.gfpoly as gfpoly_module
+import congruences.intarith as intarith_module
+import congruences.systems as systems_module
 from congruences import (
     CongruenceSystem,
     DivisorTable,
@@ -24,12 +28,15 @@ from congruences import (
     eta,
     factorize_poly,
     monic_divisors,
+    phi_poly,
     poly_gcd,
     ramanujan_c_sum,
     residues,
     restricted_system_count,
     restricted_system_count_ff,
+    single_restricted_count,
 )
+from congruences.ffsystems import PolyRing
 from oracle_utils import random_poly
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -300,3 +307,113 @@ def test_divisor_tables_of_one_prime_power_and_of_ten_primes(capsys):
         assert table == reference
         assert_table_rows(table, GFPolynomial.sort_key)
         assert_reads_as_rows(table, reference, capsys)
+
+
+def planted_restricted_system(ring, moduli, coefficients, x):
+    """The system A.x = b mod m_i with the gcd table of the planted solution x."""
+    rhs = []
+    for row, m_i in zip(coefficients, moduli):
+        b_i = ring.zero
+        for a_ij, x_j in zip(row, x):
+            b_i = b_i + a_ij * x_j
+        rhs.append(b_i % m_i)
+    table = tuple(tuple(ring.gcd(x_j, m_i) for x_j in x) for m_i in moduli)
+    system = ring.system(tuple(coefficients), tuple(moduli), tuple(rhs))
+    return system, ring.restriction_table(table)
+
+
+def expected_phi_ratio(ring, system, restrictions, phi):
+    """prod_j phi(m/t_j) / phi(m/(t_j d_j)) as the formula reads, with phi given."""
+    m = ring.lcm(system.moduli)
+    ratio = 1
+    for j in range(system.n):
+        t_j = d_j = ring.one
+        for i, m_i in enumerate(system.moduli):
+            t_ij = restrictions.entries[i][j]
+            t_j = t_j * t_ij
+            d_j = d_j * ring.gcd(system.coefficients[i][j], m_i // t_ij)
+        ratio *= phi(m // t_j) // phi(m // (t_j * d_j))
+    return ratio
+
+
+def test_restricted_count_factors_only_the_modulus(monkeypatch):
+    # Every phi argument and divisor table column of a restricted count
+    # divides m, so the count factors m alone, over Z and over F_p[t]. Over
+    # Z: rows modulo a 9-digit prime and the squares of two more, whose
+    # divisors each cost a trial division to 10^6 and a Pollard rho walk.
+    seen = []
+
+    def spy(factor):
+        def spied(value):
+            seen.append(value)
+            return factor(value)
+        return spied
+
+    for module, name in (
+        (intarith_module, "factorize"),
+        (systems_module, "factorize"),
+        (gfpoly_module, "factorize_poly"),
+        (ffsystems_module, "factorize_poly"),
+    ):
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
+
+    q, p1, p2 = 299173913, 999999937, 999999929
+    system, restrictions = planted_restricted_system(
+        CongruenceSystem.ring,
+        [q, p1**2, p2**2],
+        [(1, 2, 3), (p1, 1, 5 * p1), (1, p2, 7)],
+        [2 * p1, 5, 3 * p2],
+    )
+    report = restricted_system_count(system, restrictions)
+    m = q * p1**2 * p2**2
+    assert seen == [m]
+    assert report.count > 0
+
+    def phi_of_known_primes(n):
+        out = 1
+        for p in (q, p1, p2):
+            if n % p == 0:
+                v = 0
+                while n % p == 0:
+                    n //= p
+                    v += 1
+                out *= p ** (v - 1) * (p - 1)
+        assert n == 1
+        return out
+
+    assert report.details["phi_ratio"] == expected_phi_ratio(
+        system.ring, system, restrictions, phi_of_known_primes
+    )
+    assert report.details["phi_ratio"] > 1
+
+    # One congruence: its phi ratio reads both arguments from m/t alone.
+    seen.clear()
+    m, t = q * p1**2 * p2, p1
+    single = single_restricted_count(p2, p2 * 2 * p1 % m, m, t)
+    assert seen == [m // t]
+    assert single.count == phi_of_known_primes(m // t) // phi_of_known_primes(m // (t * p2)) > 1
+
+    field = PrimeField(3)
+
+    def poly(*coeffs):
+        return GFPolynomial.from_coeffs(field, coeffs)
+
+    one, t = poly(1), poly(0, 1)
+    # t^3 + 2t + 1, t^2 + 1 and t + 1 are irreducible over F_3.
+    p_1, p_2, p_3 = poly(1, 2, 0, 1), poly(1, 0, 1), poly(1, 1)
+    system, restrictions = planted_restricted_system(
+        PolyRing(field),
+        [p_1, p_2 * p_2, p_3 * p_3],
+        [(one, t, one), (p_2, one, p_2 * t), (one, p_3, t)],
+        [t * p_2, poly(2, 1), p_3 * t],
+    )
+    seen.clear()
+    report = restricted_system_count_ff(system, restrictions)
+    m = p_1 * p_2 * p_2 * p_3 * p_3
+    assert seen == [m]
+    assert report.count > 0
+    monkeypatch.undo()
+    assert report.details["phi_ratio"] == expected_phi_ratio(
+        system.ring, system, restrictions, phi_poly
+    )
+    assert report.details["phi_ratio"] > 1

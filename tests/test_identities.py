@@ -114,9 +114,10 @@ def build(ring, rows):
 
 def test_crt_factorization_past_the_oracle_cap():
     rng = random.Random(0xC27)
-    # Few Z systems: each count factors up to 2n + 1 products of primes
-    # above 10^6, at 50-80 ms of trial division to 10^6 apiece.
-    cases = [(INT, int_rows(rng, rng.randint(2, 3), rng.randint(2, 3))) for _ in range(5)]
+    # 8 Z systems: a restricted count factors only its modulus, but each
+    # case still factors k + 1 numbers with no prime factor below 10^6 (m and
+    # each row's modulus), at 40-80 ms of trial division to 10^6 apiece.
+    cases = [(INT, int_rows(rng, rng.randint(2, 3), rng.randint(2, 3))) for _ in range(8)]
     for case in range(20):
         field = PrimeField((2, 3)[case % 2])
         rows = poly_rows(rng, field, rng.randint(2, 3), rng.randint(2, 3))

@@ -16,7 +16,6 @@ and documents that use them, so a count over Z never loads them.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -74,7 +73,12 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-_quote = json.encoder.encode_basestring_ascii
+# A string as json.dumps quotes it. json.encoder takes the same function, with
+# the same fallback; importing json itself would cost each start-up about 2 ms.
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import py_encode_basestring_ascii as _quote
 
 
 def _json_scalar(value: Any) -> str:

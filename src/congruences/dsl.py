@@ -31,13 +31,13 @@ and a syntax error runs it up to the offending token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NoReturn
 
 from .errors import CongruenceError, HypothesisError
 from .systems import INT, CongruenceSystem, IntRing, RestrictionTable
+from .value import Value
 
 if TYPE_CHECKING:
     from .ffsystems import PolyCongruenceSystem, PolyRestrictionTable, PolyRing
@@ -70,14 +70,16 @@ _COMMENT_RE = re.compile("#[^\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029]*")
 _NEEDS_HEADER = "polynomial syntax requires a field header"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Value):
     """A positioned parse error with the offending source line."""
 
     message: str
     line: int
     column: int
     excerpt: str
+
+    def __init__(self, message, line, column, excerpt) -> None:
+        vars(self).update(message=message, line=line, column=column, excerpt=excerpt)
 
     def render(self) -> str:
         caret = " " * (self.column - 1) + "^"
@@ -90,8 +92,7 @@ class ParseError(CongruenceError):
         self.diagnostic = diagnostic
 
 
-@dataclass(frozen=True)
-class CongruenceLine:
+class CongruenceLine(Value):
     """One parsed congruence; terms are (coefficient, variable) pairs, sorted
     by variable index, duplicates combined, everything reduced mod modulus."""
 
@@ -99,22 +100,37 @@ class CongruenceLine:
     terms: tuple[tuple[object, str], ...]
     rhs: object
 
+    def __init__(self, modulus, terms, rhs) -> None:
+        vars(self).update(modulus=modulus, terms=terms, rhs=rhs)
 
-@dataclass(frozen=True)
-class RestrictionLine:
+
+class RestrictionLine(Value):
     """One parsed restriction; the spans are the indices of its "gcd",
-    variable and modulus tokens, for the diagnostics of `document`."""
+    variable and modulus tokens, for the diagnostics of `document`. Equality
+    and the hash ignore the spans."""
 
     variable: str
     modulus: object
     value: object
-    span: int = dataclass_field(compare=False)
-    variable_span: int = dataclass_field(compare=False)
-    modulus_span: int = dataclass_field(compare=False)
+    span: int
+    variable_span: int
+    modulus_span: int
+
+    def __init__(self, variable, modulus, value, span, variable_span, modulus_span) -> None:
+        vars(self).update(
+            variable=variable,
+            modulus=modulus,
+            value=value,
+            span=span,
+            variable_span=variable_span,
+            modulus_span=modulus_span,
+        )
+
+    def _key(self) -> tuple:
+        return self.variable, self.modulus, self.value
 
 
-@dataclass(frozen=True)
-class SystemDocument:
+class SystemDocument(Value):
     """A parsed document: header, congruence rows, gcd restrictions.
 
     field_order is None in integer mode, the prime p in polynomial mode.
@@ -125,6 +141,14 @@ class SystemDocument:
     congruences: tuple[CongruenceLine, ...]
     restrictions: tuple[RestrictionLine, ...]
     variables: tuple[str, ...]
+
+    def __init__(self, field_order, congruences, restrictions, variables) -> None:
+        vars(self).update(
+            field_order=field_order,
+            congruences=congruences,
+            restrictions=restrictions,
+            variables=variables,
+        )
 
     @cached_property
     def ring(self) -> IntRing | PolyRing:

@@ -11,7 +11,6 @@ and `_ff` functions are entry points over the shared formulas, and CRT is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
@@ -177,7 +176,6 @@ class PolyRing:
         return enumerate_solutions_ff(system, restrictions, cap=cap)
 
 
-@dataclass(frozen=True)
 class PolyCongruenceSystem(_SystemRows):
     """k linear congruences over F_p[t] in n variables."""
 
@@ -186,10 +184,11 @@ class PolyCongruenceSystem(_SystemRows):
     moduli: tuple[GFPolynomial, ...]
     rhs: tuple[GFPolynomial, ...]
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for poly in (*self.moduli, *self.rhs, *(c for row in self.coefficients for c in row)):
-            if poly.field != self.field:
+    def __init__(self, field, coefficients, moduli, rhs) -> None:
+        vars(self).update(field=field)  # self.ring reads it
+        super().__init__(coefficients, moduli, rhs)
+        for poly in (*moduli, *rhs, *(c for row in coefficients for c in row)):
+            if poly.field != field:
                 raise ValueError("all polynomials must live over the system's field")
 
     @property
@@ -197,7 +196,6 @@ class PolyCongruenceSystem(_SystemRows):
         return PolyRing(self.field)
 
 
-@dataclass(frozen=True)
 class PolyRestrictionTable(RestrictionTable):
     """Required monic gcd values T_ij = gcd(X_j, H_i)."""
 

@@ -13,12 +13,12 @@ by construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
 from .intarith import is_probable_prime
+from .value import Value
 
 _SPLITTING_SEED = 0x5EED
 # Bounded so that memory stays flat over a long stream of distinct moduli.
@@ -27,15 +27,23 @@ _FACTOR_CACHE_SIZE = 1024
 Coeffs = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Value):
     """The field F_p for a prime p."""
 
     p: int
 
-    def __post_init__(self) -> None:
-        if self.p < 2 or not is_probable_prime(self.p):
+    def __init__(self, p) -> None:
+        if p < 2 or not is_probable_prime(p):
             raise ValueError("field order must be a prime number")
+        vars(self).update(p=p)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self.p)
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -125,19 +133,32 @@ def _gcd(a: Coeffs, b: Coeffs, p: int) -> Coeffs:
     return (1,) if b else _monic(a, p)
 
 
-@dataclass(frozen=True, slots=True)
-class GFPolynomial:
+class GFPolynomial(Value):
     """A polynomial over a prime field, coefficients ascending by power of t."""
 
+    __slots__ = ("field", "coefficients")
     field: PrimeField
     coefficients: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        p = self.field.p
-        if any(not 0 <= c < p for c in self.coefficients):
+    def __init__(self, field, coefficients) -> None:
+        p = field.p
+        if any(not 0 <= c < p for c in coefficients):
             raise ValueError("coefficients must be reduced into [0, p)")
-        if self.coefficients and self.coefficients[-1] == 0:
+        if coefficients and coefficients[-1] == 0:
             raise ValueError("no trailing zero coefficients allowed")
+        _set_field(self, field)
+        _set_coefficients(self, coefficients)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        field = self.field
+        return self.coefficients == other.coefficients and (  # type: ignore[attr-defined]
+            other.field is field or other.field == field  # type: ignore[attr-defined]
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field.p, self.coefficients))
 
     @classmethod
     def from_coeffs(cls, field: PrimeField, coeffs: Iterable[int]) -> GFPolynomial:
@@ -313,21 +334,20 @@ def pow_mod(base: GFPolynomial, exponent: int, modulus: GFPolynomial) -> GFPolyn
     return result
 
 
-@dataclass(frozen=True)
-class FactoredPolynomial:
+class FactoredPolynomial(Value):
     """value = unit * product of monic irreducible factors ** exponents."""
 
     value: GFPolynomial
     unit: int
     factors: tuple[tuple[GFPolynomial, int], ...]
 
-    def __post_init__(self) -> None:
-        field = self.value.field
-        if not 1 <= self.unit < field.p:
+    def __init__(self, value, unit, factors) -> None:
+        field = value.field
+        if not 1 <= unit < field.p:
             raise ValueError("unit must be a nonzero field element")
-        check = GFPolynomial.constant(field, self.unit)
+        check = GFPolynomial.constant(field, unit)
         previous = None
-        for poly, exponent in self.factors:
+        for poly, exponent in factors:
             if exponent < 1:
                 raise ValueError("exponents must be at least 1")
             if poly.is_zero or poly.lc != 1 or poly.degree < 1:
@@ -338,8 +358,9 @@ class FactoredPolynomial:
             previous = key
             for _ in range(exponent):
                 check = check * poly
-        if check != self.value:
+        if check != value:
             raise ValueError("factorization does not multiply back to value")
+        vars(self).update(value=value, unit=unit, factors=factors)
 
 
 def _pth_root(f: GFPolynomial) -> GFPolynomial:

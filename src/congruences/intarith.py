@@ -1,7 +1,7 @@
 """Exact integer arithmetic: factorization, divisors, gcd/lcm, Mobius, totient.
 
 Everything works on plain Python ints (arbitrary precision) and never touches
-floating point. Factorization is trial division up to 10**6 followed by
+floating point. Factorization is trial division up to 1000 followed by
 Pollard rho, with Miller-Rabin primality checks that are deterministic below
 3.18 * 10**23 and Baillie-PSW above, so results are reproducible across runs.
 Pollard rho works under a step budget, and the primality test takes numbers
@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Sequence
 
 from .errors import CapExceededError
+from .value import Value
 
-_TRIAL_LIMIT = 10**6
+# Trial division stops here, so it alone splits every n up to 10**6; past it
+# Pollard rho finds a prime factor p in about sqrt(p) steps, which beat the
+# trial steps at every bound tried between 1000 and 10**6.
+_TRIAL_LIMIT = 1000
 # Pollard rho may take _RHO_STEPS steps on a composite of up to
 # _RHO_FULL_BITS bits, enough to split off any prime up to about 10**12 (the
 # walk needs about sqrt(p) steps). A step's modular products cost about the
@@ -38,8 +41,7 @@ _MR_DETERMINISTIC_BOUND = 318665857834031151167461
 _PRIME_BITS = 2048
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
+class FactoredInteger(Value):
     """A positive integer with its canonical prime factorization.
 
     factors is a tuple of (prime, exponent) pairs with strictly increasing
@@ -49,20 +51,21 @@ class FactoredInteger:
     value: int
     factors: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.value < 1:
+    def __init__(self, value, factors) -> None:
+        if value < 1:
             raise ValueError("value must be a positive integer")
         previous = 1
         product = 1
-        for prime, exponent in self.factors:
+        for prime, exponent in factors:
             if prime <= previous:
                 raise ValueError("primes must be strictly increasing")
             if exponent < 1:
                 raise ValueError("exponents must be at least 1")
             previous = prime
             product *= prime**exponent
-        if product != self.value:
+        if product != value:
             raise ValueError("factorization does not multiply back to value")
+        vars(self).update(value=value, factors=factors)
 
 
 def is_probable_prime(n: int) -> bool:

@@ -6,10 +6,9 @@ complex exponentials anywhere); the functions here are their Z entry points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .intarith import nary_lcm
 from .systems import INT, _e_value, _j_value, _ramanujan_divisor_sum, _ramanujan_sum
+from .value import Value
 
 
 def ramanujan_c_sum(m: int, a: int) -> int:
@@ -27,8 +26,7 @@ def ramanujan_c(m: int, a: int) -> int:
     return _ramanujan_sum(INT, m, a)
 
 
-@dataclass(frozen=True)
-class MultiIndex:
+class MultiIndex(Value):
     """Positive moduli m_1..m_n together with an explicit ambient modulus m.
 
     The ambient modulus must be a common multiple of the m_i; E and J values
@@ -38,13 +36,14 @@ class MultiIndex:
     moduli: tuple[int, ...]
     ambient: int
 
-    def __post_init__(self) -> None:
-        if not self.moduli:
+    def __init__(self, moduli, ambient) -> None:
+        if not moduli:
             raise ValueError("at least one modulus required")
-        if any(m < 1 for m in self.moduli):
+        if any(m < 1 for m in moduli):
             raise ValueError("moduli must be positive")
-        if self.ambient < 1 or self.ambient % nary_lcm(self.moduli):
+        if ambient < 1 or ambient % nary_lcm(moduli):
             raise ValueError("ambient modulus must be a common multiple of the moduli")
+        vars(self).update(moduli=moduli, ambient=ambient)
 
 
 def j_function(b: int, idx: MultiIndex) -> int:

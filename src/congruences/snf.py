@@ -29,12 +29,12 @@ divides both det B and an entry of u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .intarith import nary_lcm
 from .report import CountReport
 from .systems import CongruenceSystem
+from .value import Value
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -42,8 +42,7 @@ Matrix = tuple[tuple[int, ...], ...]
 _TRIAL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1)))
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Value):
     """Diagonalization U A V = S with U, V unimodular.
 
     invariant_factors are the positive diagonal entries e_1 | e_2 | ... | e_r;
@@ -54,10 +53,11 @@ class SnfResult:
     rank: int
     transforms: tuple[Matrix, Matrix]
 
-    def __post_init__(self) -> None:
-        _check_chain(self.invariant_factors)
-        if self.rank != len(self.invariant_factors):
+    def __init__(self, invariant_factors, rank, transforms) -> None:
+        _check_chain(invariant_factors)
+        if rank != len(invariant_factors):
             raise ValueError("rank must equal the number of invariant factors")
+        vars(self).update(invariant_factors=invariant_factors, rank=rank, transforms=transforms)
 
 
 def _check_chain(factors: Sequence[int]) -> None:

@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import CapExceededError, ExactnessError, HypothesisError
 from .intarith import divisors, factorize, mobius, nary_gcd, nary_lcm
 from .report import CountReport
+from .value import Value
 
 if TYPE_CHECKING:
     from .ffsystems import PolyCongruenceSystem, PolyRing
@@ -105,25 +105,26 @@ class IntRing:
 INT = IntRing()
 
 
-class _SystemRows:
+class _SystemRows(Value):
     """Checks and shape shared by the system types: k linear congruences in
     n variables over self.ring, row i reading
     sum_j coefficients[i][j] * x_j = rhs[i] mod moduli[i]."""
 
-    def __post_init__(self) -> None:
-        k = len(self.coefficients)
+    def __init__(self, coefficients, moduli, rhs) -> None:
+        k = len(coefficients)
         if k == 0:
             raise ValueError("at least one congruence required")
-        if len(self.moduli) != k or len(self.rhs) != k:
+        if len(moduli) != k or len(rhs) != k:
             raise ValueError("coefficients, moduli and rhs must have equal length")
-        n = len(self.coefficients[0])
+        n = len(coefficients[0])
         if n == 0:
             raise ValueError("at least one variable required")
-        if any(len(row) != n for row in self.coefficients):
+        if any(len(row) != n for row in coefficients):
             raise ValueError("all rows must have the same number of coefficients")
         ring = self.ring
-        if any(ring.norm(m) < 2 for m in self.moduli):
+        if any(ring.norm(m) < 2 for m in moduli):
             raise ValueError(f"every modulus must be {ring.modulus_rule}")
+        vars(self).update(coefficients=coefficients, moduli=moduli, rhs=rhs)
 
     @property
     def k(self) -> int:
@@ -134,7 +135,6 @@ class _SystemRows:
         return len(self.coefficients[0])
 
 
-@dataclass(frozen=True)
 class CongruenceSystem(_SystemRows):
     """k linear congruences over Z in n variables."""
 
@@ -145,8 +145,7 @@ class CongruenceSystem(_SystemRows):
     ring = INT
 
 
-@dataclass(frozen=True)
-class RestrictionTable:
+class RestrictionTable(Value):
     """Required gcd values t_ij = gcd(x_j, m_i), one entry per row and variable.
 
     An empty table behaves as "no restrictions".
@@ -156,13 +155,14 @@ class RestrictionTable:
 
     _kind = IntRing  # what a restriction value must be: is_normal, normal_word
 
-    def __post_init__(self) -> None:
-        if self.entries:
-            n = len(self.entries[0])
-            if any(len(row) != n for row in self.entries):
+    def __init__(self, entries) -> None:
+        if entries:
+            n = len(entries[0])
+            if any(len(row) != n for row in entries):
                 raise ValueError("restriction rows must have equal length")
-            if not all(self._kind.is_normal(t) for row in self.entries for t in row):
+            if not all(self._kind.is_normal(t) for row in entries for t in row):
                 raise ValueError(f"restriction values must be {self._kind.normal_word}")
+        vars(self).update(entries=entries)
 
     def validate_for(self, system) -> None:
         if not self.entries:
@@ -379,8 +379,7 @@ def _e_value(ring: IntRing | PolyRing, a: Any, moduli: Sequence, ambient: Any) -
     return total
 
 
-@dataclass(frozen=True, eq=False)
-class DivisorTable(Sequence):
+class DivisorTable(Value, Sequence):
     """The rows of a divisor sum  sum_{d | m} C_d(b) prod_l C_{M_l}(m/d),
     held as four columns in the ring's sort_key order of the divisors: the
     divisors d, the values C_d(b), one column of C_{M_l}(m/d) per M_l, and
@@ -389,13 +388,18 @@ class DivisorTable(Sequence):
     A read-only sequence of row dicts {"divisor", "rhs_value",
     "variable_values", "product"}, read by integer index or by iteration;
     each row is made when it is read, and variable_values is a list. A table
-    equals any sequence of equal rows.
+    equals any sequence of equal rows, so it has no hash.
     """
 
     divisors: tuple
     rhs_values: tuple[int, ...]
     columns: tuple[tuple[int, ...], ...]
     products: tuple[int, ...]
+
+    def __init__(self, divisors, rhs_values, columns, products) -> None:
+        vars(self).update(
+            divisors=divisors, rhs_values=rhs_values, columns=columns, products=products
+        )
 
     def __len__(self) -> int:
         return len(self.divisors)

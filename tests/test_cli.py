@@ -549,6 +549,45 @@ def test_emit_matches_json_dumps_on_synthetic_payloads(capsys):
         cli_module._emit(unserializable)
 
 
+QUOTED = [
+    "",
+    "plain text",
+    '"',
+    "\\",
+    '\\"',
+    "".join(map(chr, range(0x20))),  # control characters
+    "\x7f",  # DEL
+    "caf\u00e9 \u2603 \u0800 \uffff",  # non-ASCII BMP
+    "\U0001F600 \U00010000 \U0010FFFF",  # astral
+    "\ud800",  # lone surrogates
+    "x\udfffy",
+    "\ud83d\ude00",  # a surrogate pair, as two code points
+    "".join(map(chr, range(0x110000))),  # every code point
+]
+
+
+def test_quote_matches_json_dumps():
+    for text in QUOTED:
+        assert cli_module._quote(text) == json.dumps(text)
+
+
+def test_quote_falls_back_to_the_pure_python_encoder():
+    # Without the C module, in a fresh process, against this process's json.
+    expected = [(text, json.dumps(text)) for text in QUOTED[:-1]]
+    code = (
+        "import sys\n"
+        "sys.modules['_json'] = None\n"
+        "from congruences import cli\n"
+        "import json.encoder\n"
+        "assert cli._quote is json.encoder.py_encode_basestring_ascii\n"
+        f"for text, want in {ascii(expected)}:\n"
+        "    assert cli._quote(text) == want, text\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+
+
 def test_huge_counts_print_in_full(capsys, tmp_path):
     path = tmp_path / "huge.cong"
     terms = " + ".join(f"x{j}" for j in range(1, 202))

@@ -19,7 +19,8 @@ from congruences import (
     nary_lcm,
 )
 from congruences.errors import CapExceededError
-from congruences.intarith import _strong_lucas_probable_prime
+from congruences import intarith
+from congruences.intarith import _TRIAL_LIMIT, _strong_lucas_probable_prime
 from oracle_utils import ref_divisors, ref_factor, ref_mobius, ref_phi
 
 
@@ -67,6 +68,36 @@ def test_factorize_past_the_rho_budget_raises():
     # Pollard rho needs about sqrt(p) steps; 10**19 is far past the budget.
     with pytest.raises(CapExceededError, match="a 40-digit composite exceeds the budget"):
         factorize((10**19 + 51) * (10**20 + 39))
+
+
+def _primes_past_the_trial_bound(rng, count):
+    """Primes between the trial bound and 10**6, the extremes first."""
+    drawn = [sympy.nextprime(rng.randrange(_TRIAL_LIMIT, 10**6 - 17)) for _ in range(count)]
+    return [sympy.nextprime(_TRIAL_LIMIT), sympy.prevprime(10**6), *drawn]
+
+
+def test_factorize_products_of_primes_past_the_trial_bound():
+    # Pollard rho splits these: trial division stops at _TRIAL_LIMIT.
+    rng = random.Random(26)
+    primes = _primes_past_the_trial_bound(rng, 6)
+    products = [p * q for p, q in zip(primes, primes[1:])]
+    products += [primes[0] ** 3, primes[1] ** 2, primes[0] * primes[1] * primes[2]]
+    products += [2**5 * 3 * 997 * p for p in primes[:3]]
+    for n in products:
+        factorize.cache_clear()
+        assert factorize(n).factors == tuple(ref_factor(n)), n
+
+
+def test_factorize_up_to_10_to_the_6_by_trial_division_alone(monkeypatch):
+    def no_rho(n, rng):
+        raise AssertionError(f"Pollard rho called on {n}")
+
+    monkeypatch.setattr(intarith, "_pollard_rho", no_rho)
+    rng = random.Random(27)
+    # 997**2: the largest n up to 10**6 with no prime factor below 997.
+    for n in (997**2, 10**6, 999983, 997 * 1003, *(rng.randrange(2, 10**6) for _ in range(200))):
+        factorize.cache_clear()
+        assert factorize(n).factors == tuple(ref_factor(n)), n
 
 
 def test_factorize_prime_power_beyond_trial_range():

@@ -3,6 +3,11 @@
 In one test process every module is loaded by the time most tests run, so a
 handler that lost an import it needs would still pass there. The command line
 checks here therefore each run in a fresh interpreter.
+
+The package's value types are plain classes and the command line quotes
+strings with the C encoder that json uses, so no run loads `dataclasses` or
+`json`. `inspect` comes only with numpy, which the enumeration oracle of
+`verify` imports and which imports `inspect` itself.
 """
 
 import importlib
@@ -27,6 +32,9 @@ NOT_FOR_Z_COUNT = (
     "congruences.snf",
     "congruences.ramanujan",
 )
+# Standard modules the package does not need: dataclasses alone pulls in
+# inspect, ast, dis and tokenize.
+STDLIB_NOT_LOADED = ("dataclasses", "inspect", "json")
 
 
 def fresh(*args: str) -> subprocess.CompletedProcess:
@@ -39,32 +47,38 @@ def fresh(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def loaded_after(code: str) -> list[str]:
-    """The congruences modules a fresh interpreter holds after running code."""
-    result = fresh(
-        "-c",
-        code + "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('congruences'))))",
-    )
+def loaded_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running code, read from
+    sys.modules before anything else is imported to print them."""
+    result = fresh("-c", code + "\nimport sys\nprint(*sorted(sys.modules), sep='\\n')")
     assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout.splitlines()[-1])
+    return set(result.stdout.splitlines())
+
+
+def run_cli_code(argv: list[str], exit_code: int) -> str:
+    """Code that runs the command line in this process, output discarded."""
+    return (
+        "import contextlib, io\n"
+        "from congruences.cli import run_cli\n"
+        "sink = io.StringIO()\n"
+        "with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):\n"
+        f"    assert run_cli({argv!r}) == {exit_code}"
+    )
+
+
+def package_modules(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m.startswith("congruences")}
 
 
 def test_package_import_loads_no_module():
-    assert loaded_after("import congruences") == ["congruences"]
+    assert package_modules(loaded_after("import congruences")) == {"congruences"}
 
 
 def test_cli_and_a_z_count_load_no_snf_or_polynomial_module():
-    for code in (
-        "import congruences.cli",
-        "import contextlib, io\n"
-        "from congruences.cli import run_cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert run_cli(['count', {INT_SAMPLE!r}]) == 0",
-    ):
-        loaded = loaded_after(code)
+    for code in ("import congruences.cli", run_cli_code(["count", INT_SAMPLE], 0)):
+        loaded = package_modules(loaded_after(code))
         assert "congruences.cli" in loaded
-        assert not set(NOT_FOR_Z_COUNT) & set(loaded), loaded
+        assert not set(NOT_FOR_Z_COUNT) & loaded, loaded
 
 
 # Each subcommand on a Z and an F_p[t] input, and its exit code.
@@ -95,6 +109,26 @@ def test_subcommand_in_a_fresh_process(argv, code):
     assert "Traceback" not in result.stderr
     if code == 0:
         assert json.loads(result.stdout)["schema"] == "1"
+
+
+# The subcommands that parse a document and count, on both rings.
+COUNTING = [(argv, code) for argv, code in SUBCOMMANDS if argv[0] in ("count", "verify", "snf")]
+
+
+@pytest.mark.parametrize("code", ["import congruences", "import congruences.cli"])
+def test_import_loads_no_dataclasses_inspect_or_json(code):
+    loaded = loaded_after(code)
+    assert not set(STDLIB_NOT_LOADED) & loaded, sorted(set(STDLIB_NOT_LOADED) & loaded)
+
+
+@pytest.mark.parametrize(
+    "argv, code", COUNTING, ids=[" ".join(argv) for argv, _ in COUNTING]
+)
+def test_subcommand_loads_no_dataclasses_inspect_or_json(argv, code):
+    loaded = loaded_after(run_cli_code(argv, code))
+    if "numpy" in loaded:
+        loaded.discard("inspect")
+    assert not set(STDLIB_NOT_LOADED) & loaded, sorted(set(STDLIB_NOT_LOADED) & loaded)
 
 
 def test_every_public_name_is_its_submodule_object():

@@ -20,8 +20,6 @@ from .gfpoly import (
     PrimeField,
     factorize_poly,
     format_poly,
-    mobius_poly,
-    monic_divisors,
     poly_ext_gcd,
     poly_gcd,
     poly_lcm_many,
@@ -140,9 +138,6 @@ class PolyRing:
     def gcd(self, a: GFPolynomial, b: GFPolynomial) -> GFPolynomial:
         return poly_gcd(a, b)
 
-    def divides(self, d: GFPolynomial, a: GFPolynomial) -> bool:
-        return d.divides(a)
-
     def inverse(self, a: GFPolynomial, h: GFPolynomial) -> GFPolynomial:
         return poly_ext_gcd(a, h)[1] % h
 
@@ -151,12 +146,6 @@ class PolyRing:
 
     def factor(self, h: GFPolynomial) -> tuple[tuple[GFPolynomial, int], ...]:
         return factorize_poly(h).factors
-
-    def mobius(self, h: GFPolynomial) -> int:
-        return mobius_poly(h)
-
-    def divisors(self, h: GFPolynomial) -> tuple[GFPolynomial, ...]:
-        return monic_divisors(h)
 
     sort_key = staticmethod(GFPolynomial.sort_key)
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
-from .intarith import is_probable_prime
+from .intarith import _divisor_list, _mobius, _phi, is_probable_prime
 from .value import Value
 
 _SPLITTING_SEED = 0x5EED
@@ -471,14 +471,8 @@ def monic_divisors(h: GFPolynomial) -> tuple[GFPolynomial, ...]:
     """All monic divisors, ordered by (degree, coefficient tuple)."""
     if h.is_zero:
         raise ValueError("zero polynomial has no divisor list")
-    factored = factorize_poly(h)
-    out = [GFPolynomial.one(h.field)]
-    for poly, exponent in factored.factors:
-        powers = [GFPolynomial.one(h.field)]
-        for _ in range(exponent):
-            powers.append(powers[-1] * poly)
-        out = [d * q for d in out for q in powers]
-    return tuple(sorted(out, key=GFPolynomial.sort_key))
+    one = GFPolynomial.one(h.field)
+    return _divisor_list(factorize_poly(h).factors, one, GFPolynomial.sort_key)
 
 
 def mobius_poly(h: GFPolynomial) -> int:
@@ -486,12 +480,7 @@ def mobius_poly(h: GFPolynomial) -> int:
     squarefree polynomials, 0 otherwise; 1 on units and 0 on the zero input."""
     if h.is_zero:
         return 0
-    if h.degree == 0:
-        return 1
-    factored = factorize_poly(h)
-    if any(e >= 2 for _, e in factored.factors):
-        return 0
-    return -1 if len(factored.factors) % 2 else 1
+    return _mobius(factorize_poly(h).factors)
 
 
 def phi_poly(h: GFPolynomial) -> int:
@@ -502,11 +491,7 @@ def phi_poly(h: GFPolynomial) -> int:
     """
     if h.is_zero:
         return 0
-    out = 1
-    for poly, exponent in factorize_poly(h).factors:
-        size = poly.norm()
-        out *= size ** (exponent - 1) * (size - 1)
-    return out
+    return _phi(factorize_poly(h).factors, GFPolynomial.norm)
 
 
 def residues(field: PrimeField, degree_bound: int) -> list[GFPolynomial]:

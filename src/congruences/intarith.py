@@ -7,6 +7,10 @@ Pollard rho, with Miller-Rabin primality checks that are deterministic below
 Pollard rho works under a step budget, and the primality test takes numbers
 of at most 2048 bits, so a number whose factors lie past their reach is a
 CapExceededError, not a hang.
+
+Euler phi, Mobius mu and the divisor list are written once (`_phi`, `_mobius`,
+`_divisor_list`) over a factorization: the (P, e) pairs of distinct primes P
+of Z or of F_p[t], the ring's one and its norm |P| (P, or p^deg(P)).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache, reduce
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import CapExceededError
 from .value import Value
@@ -235,15 +239,6 @@ def factorize(n: int) -> FactoredInteger:
     return FactoredInteger(n, tuple(sorted(counts.items())))
 
 
-def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors, ascending."""
-    out = [1]
-    for prime, exponent in factorize(n).factors:
-        powers = [prime**e for e in range(exponent + 1)]
-        out = [d * q for d in out for q in powers]
-    return tuple(sorted(out))
-
-
 def nary_gcd(values: Sequence[int]) -> int:
     """gcd of one or more integers; nonnegative, gcd(0, ..., 0) = 0."""
     if not values:
@@ -260,18 +255,43 @@ def nary_lcm(values: Sequence[int]) -> int:
     return reduce(math.lcm, values)
 
 
+def divisors(n: int) -> tuple[int, ...]:
+    """All positive divisors, ascending."""
+    return _divisor_list(factorize(n).factors, 1, None)
+
+
 def mobius(n: int) -> int:
     """Mobius function of a positive integer."""
-    fi = factorize(n)
-    if any(e >= 2 for _, e in fi.factors):
-        return 0
-    return -1 if len(fi.factors) % 2 else 1
+    return _mobius(factorize(n).factors)
 
 
 def euler_phi(n: int) -> int:
     """Euler totient of a positive integer."""
-    fi = factorize(n)
+    return _phi(factorize(n).factors, int)
+
+
+def _phi(factors: Sequence[tuple[Any, int]], norm: Callable[[Any], int]) -> int:
+    """phi: the product of |P|^(e-1) (|P| - 1) over the pairs."""
     out = 1
-    for prime, exponent in fi.factors:
-        out *= prime ** (exponent - 1) * (prime - 1)
+    for prime, exponent in factors:
+        size = norm(prime)
+        out *= size ** (exponent - 1) * (size - 1)
     return out
+
+
+def _mobius(factors: Sequence[tuple[Any, int]]) -> int:
+    """mu: (-1)^(number of pairs) when every exponent is 1, else 0."""
+    if any(e >= 2 for _, e in factors):
+        return 0
+    return -1 if len(factors) % 2 else 1
+
+
+def _divisor_list(factors: Sequence[tuple[Any, int]], one: Any, sort_key: Callable | None) -> tuple:
+    """The normal divisors, the products of P^f, 0 <= f <= e, sorted by sort_key."""
+    out = [one]
+    for prime, exponent in factors:
+        powers = [one]
+        for _ in range(exponent):
+            powers.append(powers[-1] * prime)
+        out = [d * q for d in out for q in powers]
+    return tuple(sorted(out, key=sort_key))

@@ -6,7 +6,10 @@ p^deg(H) is the norm and eta sums stand in for Ramanujan sums. A system
 carries its ring, so every formula here serves both (single congruence gcd
 test, coprime systems, gcd-restricted systems via Ramanujan sums). So do
 the character sums beneath them: the Ramanujan sum by its local product and
-by its divisor sum, and the E (I) and J functions.
+by its divisor sum, and the E (I) and J functions. phi, mu and divisor lists
+come from the one kernel in `intarith`, fed by `ring.factor`, and d divides a
+when a % d == ring.zero, so the ring interface holds only what the two rings
+do differently.
 Enumeration is one independent exhaustive oracle for both rings (`_scan`).
 `oracle_count` counts with it by CRT: one whole scan per pairwise coprime
 piece of the lcm of the moduli (its prime powers), the counts multiplied.
@@ -21,7 +24,7 @@ from itertools import product
 from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import CapExceededError, ExactnessError, HypothesisError
-from .intarith import divisors, factorize, mobius, nary_gcd, nary_lcm
+from .intarith import _divisor_list, _mobius, _phi, factorize, nary_gcd, nary_lcm
 from .report import CountReport
 from .value import Value
 
@@ -68,9 +71,6 @@ class IntRing:
     def gcd(self, a: int, b: int) -> int:
         return math.gcd(a, b)
 
-    def divides(self, d: int, a: int) -> bool:
-        return a % d == 0
-
     def inverse(self, a: int, m: int) -> int:
         return pow(a, -1, m)
 
@@ -79,12 +79,6 @@ class IntRing:
 
     def factor(self, m: int) -> tuple[tuple[int, int], ...]:
         return factorize(m).factors
-
-    def mobius(self, m: int) -> int:
-        return mobius(m)
-
-    def divisors(self, m: int) -> tuple[int, ...]:
-        return divisors(m)
 
     sort_key = int
     format = str
@@ -172,7 +166,7 @@ class RestrictionTable(Value):
         ring = system.ring
         for row, m_i in zip(self.entries, system.moduli):
             for t in row:
-                if not ring.divides(t, m_i):
+                if m_i % t != ring.zero:
                     raise HypothesisError(
                         f"restriction value {ring.format(t)} does not divide"
                         f" modulus {ring.format(m_i)}"
@@ -248,7 +242,7 @@ def system_count(system: CongruenceSystem | PolyCongruenceSystem) -> CountReport
         for a in row:
             ell = ring.gcd(ell, a)
         row_gcds.append(ell)
-        if not ring.divides(ell, b_i):
+        if b_i % ell != ring.zero:
             solvable = False
     count = 0
     if solvable:
@@ -265,17 +259,12 @@ def system_count(system: CongruenceSystem | PolyCongruenceSystem) -> CountReport
 
 def _phi_of_quotient(ring: IntRing | PolyRing, factors: Sequence[tuple[Any, int]], c: Any) -> int:
     """phi(m / c) for a normal divisor c of the modulus m whose prime
-    factorization is factors: the product of |P|^(v-1) (|P| - 1) over the
-    primes P^e of m with v = e - v_P(c) >= 1. Read from the valuations of c,
-    often a unit, so neither c nor m / c is factored."""
-    unit = c == ring.one
-    out = 1
-    for p, e in factors:
-        v = e if unit else e - _valuation(ring, p, c, e)
-        if v:
-            norm = ring.norm(p)
-            out *= norm ** (v - 1) * (norm - 1)
-    return out
+    factorization is factors: m / c is the product of P^v over the primes P^e
+    of m with v = e - v_P(c) >= 1. Read from the valuations of c, often a
+    unit, so neither c nor m / c is factored."""
+    if c != ring.one:
+        factors = [(p, v) for p, e in factors if (v := e - _valuation(ring, p, c, e))]
+    return _phi(factors, ring.norm)
 
 
 def _phi_ratio(
@@ -301,7 +290,7 @@ def _single_restricted(ring: IntRing | PolyRing, a: Any, b: Any, m: Any, t: Any)
     theorem = "restricted_single" + ring.suffix
     m = ring.normalise(m)
     b_red = b % m
-    if not ring.divides(t, ring.gcd(b_red, m)):
+    if ring.gcd(b_red, m) % t != ring.zero:
         return CountReport(0, False, theorem, {"reason": "t does not divide gcd(b, m)"})
     mt = m // t
     d = ring.gcd(a, mt)
@@ -355,14 +344,15 @@ def _ramanujan_sum(ring: IntRing | PolyRing, q: Any, a: Any) -> int:
 def _ramanujan_divisor_sum(ring: IntRing | PolyRing, q: Any, a: Any) -> int:
     """C_q(a) as the sum of |d| mu(q/d) over the normal divisors d of gcd(a, q)."""
     q = ring.normalise(q)
-    return sum(ring.norm(d) * ring.mobius(q // d) for d in ring.divisors(ring.gcd(a, q)))
+    divisors = _divisor_list(ring.factor(ring.gcd(a, q)), ring.one, ring.sort_key)
+    return sum(ring.norm(d) * _mobius(ring.factor(q // d)) for d in divisors)
 
 
 def _j_value(ring: IntRing | PolyRing, a: Any, moduli: Sequence, ambient: Any) -> int:
     """J(a; m_1..m_n): the product of the |m_i| over |lcm| when (ambient / lcm)
     divides a, else 0. Moduli and ambient modulus are normal."""
     lcm = ring.lcm(moduli)
-    if not ring.divides(ambient // lcm, a):
+    if a % (ambient // lcm) != ring.zero:
         return 0
     return math.prod(ring.norm(m_i) for m_i in moduli) // ring.norm(lcm)
 
@@ -372,8 +362,9 @@ def _e_value(ring: IntRing | PolyRing, a: Any, moduli: Sequence, ambient: Any) -
     d_i dividing m_i, of J(a; d_1..d_n) mu(m_1/d_1) ... mu(m_n/d_n), with the
     same ambient modulus throughout. Moduli and ambient modulus are normal."""
     total = 0
-    for combo in product(*(ring.divisors(m_i) for m_i in moduli)):
-        sign = math.prod(ring.mobius(m_i // d_i) for m_i, d_i in zip(moduli, combo))
+    divisor_lists = [_divisor_list(ring.factor(m_i), ring.one, ring.sort_key) for m_i in moduli]
+    for combo in product(*divisor_lists):
+        sign = math.prod(_mobius(ring.factor(m_i // d_i)) for m_i, d_i in zip(moduli, combo))
         if sign:
             total += sign * _j_value(ring, a, combo, ambient)
     return total
@@ -386,9 +377,9 @@ class DivisorTable(Value, Sequence):
     the row products.
 
     A read-only sequence of row dicts {"divisor", "rhs_value",
-    "variable_values", "product"}, read by integer index or by iteration;
-    each row is made when it is read, and variable_values is a list. A table
-    equals any sequence of equal rows, so it has no hash.
+    "variable_values", "product"}, read by index, by slice (a list of rows)
+    or by iteration; each row is made when it is read, and variable_values
+    is a list. A table equals any sequence of equal rows, so it has no hash.
     """
 
     divisors: tuple
@@ -405,6 +396,8 @@ class DivisorTable(Value, Sequence):
         return len(self.divisors)
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         return {
             "divisor": self.divisors[i],
             "rhs_value": self.rhs_values[i],

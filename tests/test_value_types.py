@@ -171,6 +171,8 @@ def test_divisor_table_equals_any_sequence_of_equal_rows():
     assert table == rows and rows == table
     assert table != rows[:1]
     assert table[-1] == rows[-1]
+    for cut in (slice(None, 1), slice(-1, None), slice(None, None, -1), slice(5, 9)):
+        assert table[cut] == rows[cut] and type(table[cut]) is list
 
 
 def test_system_document_ring_is_cached():

@@ -73,6 +73,14 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
+def _cap(text: str) -> int:
+    """A --cap argument: a number of tuples, so at least 0."""
+    cap = _integer(text)
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"the cap must be at least 0, not {cap}")
+    return cap
+
+
 # A string as json.dumps quotes it. json.encoder takes the same function, with
 # the same fallback; importing json itself would cost each start-up about 2 ms.
 try:
@@ -323,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="exhaustive enumeration (the oracle)")
     with_file(p)
-    p.add_argument("--cap", type=_integer, default=DEFAULT_ENUMERATION_CAP,
+    p.add_argument("--cap", type=_cap, default=DEFAULT_ENUMERATION_CAP,
                    help="largest tuple space to scan (default 10^8)")
     p.add_argument("--list", action="store_true",
                    help="include the solutions when there are at most 1000")
@@ -331,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run all applicable methods and compare")
     with_file(p)
-    p.add_argument("--cap", type=_integer, default=DEFAULT_ENUMERATION_CAP,
+    p.add_argument("--cap", type=_cap, default=DEFAULT_ENUMERATION_CAP,
                    help="largest tuple space the oracle may scan")
     p.set_defaults(func=_cmd_verify)
 

@@ -21,11 +21,14 @@ unexpected character or an over-long number anywhere is reported before any
 syntax error.
 
 The parser reads the token texts of one regex pass over the text, each
-comment blanked to a space; a token's kind follows from its text. Line and
-column are worked out only for a diagnostic, by a second scan with the same
-token pattern: the lexical check runs it only when a quick search of the
-whole text finds a character that starts no token or a long run of digits,
-and a syntax error runs it up to the offending token.
+comment blanked to a space; a token's kind follows from its text. A linear
+form is one loop over token indices for both rings: sign, coefficient, "*"
+and variable, each variable keyed by its integer index. A polynomial sum adds
+its atoms into one coefficient list. Line and column are worked out only for
+a diagnostic, by a second scan with the same token pattern: the lexical check
+runs it only when a quick search of the whole text finds a character that
+starts no token or a long run of digits, and a syntax error runs it up to the
+offending token.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NoReturn
+from typing import TYPE_CHECKING, Any, NoReturn
 
 from .errors import CongruenceError, HypothesisError
 from .systems import INT, CongruenceSystem, IntRing, RestrictionTable
@@ -228,16 +231,6 @@ class _Parser:
             offset = next(islice(_SCAN_RE.finditer(self.code), at, None)).start()
         self._fail_at(message, offset)
 
-    def _at(self, text: str, offset: int = 0) -> bool:
-        return self.tokens[self.pos + offset] == text
-
-    def _at_int(self) -> bool:
-        return self.tokens[self.pos][:1].isdecimal()
-
-    def _advance(self) -> str:
-        self.pos += 1
-        return self.tokens[self.pos - 1]
-
     def _expect(self, text: str, message: str) -> None:
         if self.tokens[self.pos] != text:
             self._fail(message)
@@ -246,69 +239,71 @@ class _Parser:
     # literals and expressions
 
     def _int_literal(self, what: str) -> int:
-        if not self._at_int():
+        text = self.tokens[self.pos]
+        if not text[:1].isdecimal():
             self._fail(f"expected {what}")
-        return int(self._advance())
+        self.pos += 1
+        return int(text)
 
-    def _signed(self, item: Callable[[], Any]) -> Iterator[tuple[bool, Any]]:
-        """(negated, item) for each item of ["-"] item (("+" | "-") item)*."""
-        negate = self._at("-")
-        self.pos += negate
-        while True:
-            yield negate, item()
-            if not (self._at("+") or self._at("-")):
-                return
-            negate = self._advance() == "-"
-
-    def _poly_atom(self) -> GFPolynomial:
-        assert self.field is not None
+    def _poly_atom(self) -> tuple[int, int]:
+        """(c, k) of one term c, t, c*t^k or t^k."""
+        tokens = self.tokens
+        at = self.pos
         coeff = 1
-        power = 0
-        if self._at_int():
-            coeff = int(self._advance())
-            if self._at("*") and self._at("t", 1):
-                self.pos += 2
-                power = 1
-        elif self._at("t"):
-            self.pos += 1
-            power = 1
-        else:
+        if tokens[at][:1].isdecimal():
+            coeff = int(tokens[at])
+            if tokens[at + 1] != "*" or tokens[at + 2] != "t":
+                self.pos = at + 1
+                return coeff, 0
+            at += 2
+        elif tokens[at] != "t":
             self._fail("expected a polynomial term")
-        if power == 1 and self._at("^"):
-            self.pos += 1
-            exponent_at = self.pos
-            power = self._int_literal("an integer exponent")
-            if power > _MAX_EXPONENT:
-                self._fail(f"exponent exceeds the limit {_MAX_EXPONENT}", exponent_at)
-        coeffs = [0] * power + [coeff]
-        return self._from_coeffs(self.field, coeffs)
+        self.pos = at + 1  # past "t"
+        if tokens[at + 1] != "^":
+            return coeff, 1
+        self.pos += 1
+        power = self._int_literal("an integer exponent")
+        if power > _MAX_EXPONENT:
+            self._fail(f"exponent exceeds the limit {_MAX_EXPONENT}", at + 2)
+        return coeff, power
 
     def _poly_sum(self) -> GFPolynomial:
-        total = self.ring.zero
-        for negate, atom in self._signed(self._poly_atom):
-            total = total - atom if negate else total + atom
-        return total
+        """["-"] atom (("+" | "-") atom)*, summed into one coefficient list."""
+        tokens = self.tokens
+        coeffs = [0]
+        negate = tokens[self.pos] == "-"
+        self.pos += negate
+        while True:
+            coeff, power = self._poly_atom()
+            coeffs += [0] * (power + 1 - len(coeffs))
+            coeffs[power] += -coeff if negate else coeff
+            sign = tokens[self.pos]
+            if sign != "+" and sign != "-":
+                return self._from_coeffs(self.field, coeffs)
+            negate = sign == "-"
+            self.pos += 1
 
     def _expr(self, what: str, signed: bool = True) -> object:
         """An integer literal, "-"-signed if signed; with a field header, a
         polynomial sum, always signable."""
         if self.field is not None:
             return self._poly_sum()
-        if self._at("t"):
+        text = self.tokens[self.pos]
+        if text == "t":
             self._fail(_NEEDS_HEADER)
-        negate = signed and self._at("-")
+        negate = signed and text == "-"
         self.pos += negate
         value = self._int_literal(what)
         return -value if negate else value
 
-    def _variable(self) -> str:
-        text = self.tokens[self.pos]
-        if text == "t" and self.field is None:
-            self._fail(_NEEDS_HEADER)
+    def _variable(self, at: int) -> int:
+        """The index of the variable token of index at: 7 for x7 and x007."""
+        text = self.tokens[at]
         if not _VARIABLE_RE.fullmatch(text):
-            self._fail("expected a variable like x1")
-        self.pos += 1
-        return f"x{int(text[1:])}"
+            if text == "t" and self.field is None:
+                self._fail(_NEEDS_HEADER, at)
+            self._fail("expected a variable like x1", at)
+        return int(text[1:])
 
     # statements
 
@@ -327,22 +322,51 @@ class _Parser:
         self._expect(")", "expected ')' after the field order")
         return field
 
-    def _term(self) -> tuple[object, str]:
-        text = self.tokens[self.pos]
-        if _VARIABLE_RE.fullmatch(text):
-            return self.ring.one, self._variable()
-        if self.field is None:
-            coeff = self._expr("a term like 3*x1 or x1", signed=False)
-        elif self._at("("):
-            self.pos += 1
-            coeff = self._poly_sum()
-            self._expect(")", "expected ')' after the coefficient")
-        elif self._at_int() or text == "t":
-            coeff = self._poly_atom()
-        else:
-            self._fail("expected a term like 3*x1, (t + 1)*x1 or x1")
-        self._expect("*", "expected '*' between coefficient and variable")
-        return coeff, self._variable()
+    def _linear(self) -> dict[int, Any]:
+        """The coefficient of each variable index, summed over the terms of
+        ["-"] term (("+" | "-") term)*, in one loop over token indices."""
+        tokens = self.tokens
+        integers = self.field is None
+        combined: dict[int, Any] = {}
+        negate = tokens[self.pos] == "-"
+        at = self.pos + negate
+        while True:
+            text = tokens[at]
+            start = at
+            if integers and text[:1].isdecimal():
+                coeff = int(text)
+                at += 1
+            elif _VARIABLE_RE.fullmatch(text):
+                coeff = self.ring.one
+            elif not integers and text == "(":
+                self.pos = at + 1
+                coeff = self._poly_sum()
+                self._expect(")", "expected ')' after the coefficient")
+                at = self.pos
+            elif not integers and (text[:1].isdecimal() or text == "t"):
+                self.pos = at
+                coeff, power = self._poly_atom()
+                coeff = self._from_coeffs(self.field, [0] * power + [coeff])
+                at = self.pos
+            else:
+                shapes = "3*x1 or x1" if integers else "3*x1, (t + 1)*x1 or x1"
+                self._fail(_NEEDS_HEADER if text == "t" else f"expected a term like {shapes}", at)
+            if at != start:
+                if tokens[at] != "*":
+                    self._fail("expected '*' between coefficient and variable", at)
+                at += 1
+            index = self._variable(at)
+            if negate:
+                coeff = -coeff  # type: ignore[operator]
+            if index in combined:
+                coeff = combined[index] + coeff  # type: ignore[operator]
+            combined[index] = coeff
+            at += 1
+            if tokens[at] != "+" and tokens[at] != "-":
+                self.pos = at
+                return combined
+            negate = tokens[at] == "-"
+            at += 1
 
     def _congruence(self) -> CongruenceLine:
         self.pos += 1  # "mod"
@@ -351,17 +375,10 @@ class _Parser:
         if self.ring.norm(modulus) < 2:
             self._fail(f"modulus must be {self.ring.modulus_rule}", modulus_at)
         self._expect(":", "expected ':' after the modulus")
-        combined: dict[str, object] = {}
-        for negate, (coeff, name) in self._signed(self._term):
-            if negate:
-                coeff = -coeff  # type: ignore[operator]
-            combined[name] = combined.get(name, self.ring.zero) + coeff  # type: ignore[operator]
+        combined = self._linear()
         self._expect("=", "expected '=' after the linear combination")
         rhs = self._expr("an integer") % modulus  # type: ignore[operator]
-        terms = tuple(
-            (combined[name] % modulus, name)  # type: ignore[operator]
-            for name in sorted(combined, key=lambda v: int(v[1:]))
-        )
+        terms = tuple((combined[i] % modulus, f"x{i}") for i in sorted(combined))
         return CongruenceLine(modulus=modulus, terms=terms, rhs=rhs)
 
     def _restriction(self) -> RestrictionLine:
@@ -369,7 +386,8 @@ class _Parser:
         self.pos += 1  # "gcd"
         self._expect("(", "expected '(' after 'gcd'")
         variable_at = self.pos
-        name = self._variable()
+        name = f"x{self._variable(variable_at)}"
+        self.pos += 1
         self._expect(",", "expected ',' after the variable")
         modulus_at = self.pos
         modulus = self._expr("a modulus", signed=False)
@@ -390,14 +408,14 @@ class _Parser:
         )
 
     def document(self) -> SystemDocument:
-        if self._at("field"):
+        if self.tokens[0] == "field":
             self._use_field(self._header())
         congruences: list[CongruenceLine] = []
         restrictions: list[RestrictionLine] = []
-        while self.tokens[self.pos]:
-            if self._at("mod"):
+        while keyword := self.tokens[self.pos]:
+            if keyword == "mod":
                 congruences.append(self._congruence())
-            elif self._at("gcd"):
+            elif keyword == "gcd":
                 restrictions.append(self._restriction())
             else:
                 self._fail("expected 'mod' or 'gcd'")

@@ -361,6 +361,19 @@ def test_verify_with_tiny_cap_skips_oracle(capsys):
     assert "skipped" in payload["methods"]["oracle"]
 
 
+def test_negative_cap_is_a_usage_error(capsys):
+    for command in ("enumerate", "verify"):
+        for cap in ("-1", "-5"):
+            assert run(capsys, command, "--cap", cap, sample("int_system_12_35.cong")) == (
+                1,
+                "",
+                f"error: argument --cap: the cap must be at least 0, not {cap}\n",
+            )
+    # A cap of 0 is a cap: the oracle scans nothing.
+    payload = run_json(capsys, "verify", "--cap", "0", sample("int_system_12_35.cong"))
+    assert payload["methods"]["oracle"] == {"skipped": "scan of 176400 tuples exceeds cap 0"}
+
+
 def test_verify_reports_disagreement(capsys, monkeypatch):
     import congruences.cli as cli_module
 

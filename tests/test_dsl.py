@@ -283,6 +283,94 @@ def test_first_error_wins():
         assert (diagnostic.message, diagnostic.line, diagnostic.column) == (message, line, column)
 
 
+_LONG = "1" * 4300
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # A diagnostic as (message, line, column); a document as its canonical text.
+        ("mod 7: 3 x1 = 1\n", ("expected '*' between coefficient and variable", 1, 10)),
+        ("mod 7: 3x1 = 1\n", ("expected '*' between coefficient and variable", 1, 9)),
+        (
+            "field GF(3)\nmod t: (t + 1) x1 = 1\n",
+            ("expected '*' between coefficient and variable", 2, 16),
+        ),
+        (
+            "field GF(3)\nmod t: 2*t x1 = 1\n",
+            ("expected '*' between coefficient and variable", 2, 12),
+        ),
+        (
+            "field GF(3)\nmod t: t^2^3*x1 = 1\n",
+            ("expected '*' between coefficient and variable", 2, 11),
+        ),
+        ("mod 7: x1 - -x2 = 1\n", ("expected a term like 3*x1 or x1", 1, 13)),
+        (
+            "field GF(3)\nmod t: x1 - -x2 = 1\n",
+            ("expected a term like 3*x1, (t + 1)*x1 or x1", 2, 13),
+        ),
+        (
+            "field GF(3)\nmod t: x1 + y = 1\n",
+            ("expected a term like 3*x1, (t + 1)*x1 or x1", 2, 13),
+        ),
+        ("mod 7: x1 + + x2 = 1\n", ("expected a term like 3*x1 or x1", 1, 13)),
+        ("mod 7: (3)*x1 = 1\n", ("expected a term like 3*x1 or x1", 1, 8)),
+        ("mod 7: *x1 = 1\n", ("expected a term like 3*x1 or x1", 1, 8)),
+        ("mod 7: x1 +", ("expected a term like 3*x1 or x1", 1, 12)),
+        ("mod 7: -", ("expected a term like 3*x1 or x1", 1, 9)),
+        ("mod 7: 3*t = 1\n", ("polynomial syntax requires a field header", 1, 10)),
+        ("mod 7: t*x1 = 1\n", ("polynomial syntax requires a field header", 1, 8)),
+        ("mod 7: x1 + t = 1\n", ("polynomial syntax requires a field header", 1, 13)),
+        ("mod 7: 3*4 = 1\n", ("expected a variable like x1", 1, 10)),
+        ("mod 7: 3*", ("expected a variable like x1", 1, 10)),
+        ("mod 7: x1 + x2 1\n", ("expected '=' after the linear combination", 1, 16)),
+        ("mod 7: x1 x2 = 1\n", ("expected '=' after the linear combination", 1, 11)),
+        ("mod 7: x1*3 = 1\n", ("expected '=' after the linear combination", 1, 10)),
+        ("field GF(3)\nmod t: (t + 1*x1 = 1\n", ("expected ')' after the coefficient", 2, 14)),
+        ("field GF(3)\nmod t: ()*x1 = 1\n", ("expected a polynomial term", 2, 9)),
+        ("field GF(3)\nmod t: t^x*x1 = 1\n", ("expected an integer exponent", 2, 10)),
+        (
+            "field GF(2)\nmod t: (t^1000001 + 1)*x1 = 1\n",
+            ("exponent exceeds the limit 1000000", 2, 11),
+        ),
+        (
+            "field GF(2)\nmod t: (1 + t^1000000)*x1 = t^1000001\n",
+            ("exponent exceeds the limit 1000000", 2, 31),
+        ),
+        (f"mod 7: {_LONG}*x1 - {_LONG}*x2 = {_LONG}\n", "mod 7: 5*x1 + 2*x2 = 5\n"),
+        (f"mod 7: {_LONG}1*x1 = 1\n", ("a number of 4301 digits exceeds the limit 4300", 1, 8)),
+        ("mod 9: x1 + x01 + 6*x1 = 1\n", "mod 9: 8*x1 = 1\n"),
+        ("mod 9: x1 + x01 + 7*x1 - x2 + x3 + x002 = 1\n", "mod 9: 0*x1 + 0*x2 + x3 = 1\n"),
+        ("field GF(3)\nmod t^2: (t + 2*t)*x1 + x2 = 1\n", "field GF(3)\nmod t^2: 0*x1 + x2 = 1\n"),
+        (
+            "field GF(3)\nmod t^2: (t^3 + 2*t - t^3 + t)*x1 - 2*x2 = 1\n",
+            "field GF(3)\nmod t^2: 0*x1 + x2 = 1\n",
+        ),
+        (
+            "field GF(5)\nmod t^2 + 1: -(t + 1)*x1 + 2*t^3*x2 - t*x1 + t^2*x3 + 3*x2 = -t\n",
+            "field GF(5)\nmod t^2 + 1: (3*t + 4)*x1 + (3*t + 3)*x2 + 4*x3 = 4*t\n",
+        ),
+        (
+            "field GF(5)\nmod t^3: x1 + t*x1 + 7*t^2*x1 - x1 = 0\n",
+            "field GF(5)\nmod t^3: (2*t^2 + t)*x1 = 0\n",
+        ),
+    ],
+)
+def test_linear_rule(text, expected):
+    """Each term's sign, coefficient, "*" and variable, with the diagnostic
+    for each token the rule does not accept."""
+    if isinstance(expected, str):
+        assert format_document(parse_system(text)) == expected
+        return
+    message, line, column = expected
+    with pytest.raises(ParseError) as info:
+        parse_system(text)
+    excerpt = text.splitlines()[line - 1]
+    assert info.value.diagnostic.render() == (
+        f"line {line}, column {column}: {message}\n  {excerpt}\n  {' ' * (column - 1)}^"
+    )
+
+
 def test_samples_build_without_errors():
     for path in SAMPLE_FILES:
         doc = parse_system(path.read_text(encoding="utf-8"))

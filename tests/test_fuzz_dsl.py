@@ -17,7 +17,14 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congruences import GFPolynomial, PrimeField, format_document, monic_divisors, parse_system
+from congruences import (
+    GFPolynomial,
+    PrimeField,
+    format_document,
+    monic_divisors,
+    parse_poly,
+    parse_system,
+)
 from congruences.cli import run_cli
 
 ORACLE_TUPLES = 10**4
@@ -145,3 +152,75 @@ def test_generated_documents_round_trip_and_match_the_oracle(case):
             code, oracle_out, err = cli(path, "enumerate")
             assert code == 0, err
             assert json.loads(out)["count"] == json.loads(oracle_out)["count"], text
+
+
+_SPACE = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def linear_forms(draw) -> tuple[str, int, dict[int, int]]:
+    """A congruence "mod m: form = 0" whose form repeats variables, spelled
+    with or without leading zeros, with either sign and any spacing; with m
+    and the sum of each variable index's signed coefficients."""
+    m = draw(st.integers(2, 10**12))
+    sums: dict[int, int] = {}
+    form = ""
+    for i in range(draw(st.integers(1, 12))):
+        minus = draw(st.booleans())
+        if i or minus:
+            form += draw(_SPACE) + ("-" if minus else "+") + draw(_SPACE)
+        j = draw(st.integers(1, 6))
+        name = f"x{'0' * draw(st.integers(0, 2))}{j}"
+        coeff = draw(st.one_of(st.none(), st.integers(0, 10**15)))
+        if coeff is None:
+            form += name
+            coeff = 1
+        else:
+            form += f"{coeff}{draw(_SPACE)}*{draw(_SPACE)}{name}"
+        sums[j] = sums.get(j, 0) + (-coeff if minus else coeff)
+    return f"mod {m}:{draw(_SPACE)}{form}{draw(_SPACE)}= 0\n", m, sums
+
+
+@given(linear_forms())
+@settings(max_examples=200, deadline=None)
+def test_linear_form_sums_each_variables_coefficients(case):
+    text, m, sums = case
+    (line,) = parse_system(text).congruences
+    assert line.terms == tuple((sums[j] % m, f"x{j}") for j in sorted(sums)), text
+
+
+@st.composite
+def poly_sums(draw) -> tuple[PrimeField, str, GFPolynomial]:
+    """A sum of atoms c, t, c*t, c*t^k, t^k with either sign and any spacing,
+    and the GFPolynomial sum of its atoms."""
+    field = PrimeField(draw(st.sampled_from([2, 3, 5, 7])))
+    total = GFPolynomial.zero(field)
+    text = ""
+    for i in range(draw(st.integers(1, 8))):
+        minus = draw(st.booleans())
+        if i or minus:
+            text += draw(_SPACE) + ("-" if minus else "+") + draw(_SPACE)
+        c, k = draw(st.integers(0, 3 * field.p)), draw(st.integers(0, 12))
+        spellings = [f"{c}*t^{k}"]
+        if k == 0:
+            spellings.append(str(c))
+        if k == 1:
+            spellings.append(f"{c}{draw(_SPACE)}*{draw(_SPACE)}t")
+        if c == 1:
+            spellings.append(f"t^{draw(_SPACE)}{k}" if k != 1 else "t")
+        text += draw(st.sampled_from(spellings))
+        atom = GFPolynomial.from_coeffs(field, [0] * k + [c])
+        total = total - atom if minus else total + atom
+    return field, text, total
+
+
+@given(poly_sums())
+@settings(max_examples=200, deadline=None)
+def test_polynomial_sum_equals_the_sum_of_its_atoms(case):
+    field, text, total = case
+    assert parse_poly(text, field) == total, text
+    # The same sum as a parenthesized coefficient and as a right-hand side.
+    modulus = parse_poly("t^13 + 1", field)
+    doc = parse_system(f"field GF({field.p})\nmod t^13 + 1: ({text})*x1 = {text}\n")
+    assert doc.congruences[0].terms == ((total % modulus, "x1"),), text
+    assert doc.congruences[0].rhs == total % modulus, text

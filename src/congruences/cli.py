@@ -34,9 +34,9 @@ from .errors import CapExceededError, HypothesisError
 from .intarith import euler_phi
 from .report import CountReport
 from .systems import (
-    CongruenceSystem,
     DEFAULT_ENUMERATION_CAP,
     DivisorTable,
+    INT,
     lehmer_count,
     oracle_count,
     restricted_system_count,
@@ -180,22 +180,30 @@ def _load(path: str) -> SystemDocument:
     return parse_system(text)
 
 
-def _is_integer(system) -> bool:
-    """Only Z systems have a one-row Lehmer count and a Smith form."""
-    return isinstance(system, CongruenceSystem)
+def _load_system(path: str):
+    """The system of the file at path and its restriction table, or None."""
+    doc = _load(path)
+    return build_system(doc), build_restrictions(doc)
 
 
 def _formula_report(system, table) -> CountReport:
     if table is not None:
         return restricted_system_count(system, table)
-    if system.k == 1 and _is_integer(system):
+    if system.k == 1 and system.ring is INT:
         return lehmer_count(system.coefficients[0], system.rhs[0], system.moduli[0])
     return system_count(system)
 
 
+def _smith_report(system) -> tuple[CountReport, list[str]]:
+    """The Smith-form count of a Z system and its invariant factors in decimal."""
+    from .snf import butson_stewart_count
+
+    report = butson_stewart_count(system)
+    return report, [str(e) for e in report.details["invariant_factors"]]
+
+
 def _cmd_count(args: argparse.Namespace) -> dict[str, Any]:
-    doc = _load(args.file)
-    report = _formula_report(build_system(doc), build_restrictions(doc))
+    report = _formula_report(*_load_system(args.file))
     return {
         "count": str(report.count),
         "solvable": report.solvable,
@@ -205,10 +213,8 @@ def _cmd_count(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> dict[str, Any]:
-    doc = _load(args.file)
-    system = build_system(doc)
+    system, table = _load_system(args.file)
     ring = system.ring
-    table = build_restrictions(doc)
     # The list is in lexicographic order, so it takes the whole scan.
     if args.list:
         count, solutions = ring.oracle(system, table, args.cap)
@@ -224,54 +230,36 @@ def _cmd_enumerate(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
-    doc = _load(args.file)
-    system = build_system(doc)
-    table = build_restrictions(doc)
+    system, table = _load_system(args.file)
     methods: dict[str, Any] = {}
-    counts: list[int] = []
-
     try:
         report = _formula_report(system, table)
         methods["formula"] = {"count": str(report.count), "theorem": report.theorem}
-        counts.append(report.count)
     except HypothesisError as exc:
         methods["formula"] = {"skipped": str(exc)}
-
-    if _is_integer(system):
+    if system.ring is INT:
         if table is not None:
             methods["snf"] = {"skipped": "restrictions present"}
         else:
-            from .snf import butson_stewart_count
-
-            snf_report = butson_stewart_count(system)
-            methods["snf"] = {
-                "count": str(snf_report.count),
-                "invariant_factors": [
-                    str(e) for e in snf_report.details["invariant_factors"]
-                ],
-            }
-            counts.append(snf_report.count)
-
+            report, factors = _smith_report(system)
+            methods["snf"] = {"count": str(report.count), "invariant_factors": factors}
     try:
-        count = oracle_count(system, table, args.cap)
-        methods["oracle"] = {"count": str(count)}
-        counts.append(count)
+        methods["oracle"] = {"count": str(oracle_count(system, table, args.cap))}
     except CapExceededError as exc:
         methods["oracle"] = {"skipped": str(exc)}
 
-    return {"methods": methods, "agreement": len(set(counts)) <= 1}
+    counts = {method["count"] for method in methods.values() if "count" in method}
+    return {"methods": methods, "agreement": len(counts) <= 1}
 
 
 def _cmd_snf(args: argparse.Namespace) -> dict[str, Any]:
     system = build_system(_load(args.file))
-    if not _is_integer(system):
+    if system.ring is not INT:
         raise _UsageError("snf applies to integer systems only")
-    from .snf import butson_stewart_count
-
-    report = butson_stewart_count(system)
+    report, factors = _smith_report(system)
     return {
         "modulus": str(report.details["modulus"]),
-        "invariant_factors": [str(e) for e in report.details["invariant_factors"]],
+        "invariant_factors": factors,
         "count": str(report.count),
         "solvable": report.solvable,
     }

@@ -174,15 +174,12 @@ class PolyCongruenceSystem(_SystemRows):
     rhs: tuple[GFPolynomial, ...]
 
     def __init__(self, field, coefficients, moduli, rhs) -> None:
-        vars(self).update(field=field)  # self.ring reads it
+        # ring is not one of the value's _fields, so ==, hash, repr and pickling ignore it.
+        vars(self).update(field=field, ring=PolyRing(field))
         super().__init__(coefficients, moduli, rhs)
         for poly in (*moduli, *rhs, *(c for row in coefficients for c in row)):
             if poly.field != field:
                 raise ValueError("all polynomials must live over the system's field")
-
-    @property
-    def ring(self) -> PolyRing:
-        return PolyRing(self.field)
 
 
 class PolyRestrictionTable(RestrictionTable):

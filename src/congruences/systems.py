@@ -683,8 +683,6 @@ def oracle_count(
     """
     ring = system.ring
     pieces = _coprime_pieces(ring, ring.lcm(system.moduli), cap)
-    if len(pieces) == 1:
-        return ring.oracle(system, restrictions, cap)[0]
     _require_within_cap(sum(ring.norm(q) ** system.n for q in pieces), cap)
     entries = restrictions.entries if restrictions is not None else ()
     if entries:

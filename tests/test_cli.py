@@ -353,6 +353,33 @@ def test_verify_polynomial_system(capsys):
     assert payload["methods"]["oracle"]["count"] == "2"
 
 
+NOT_COPRIME = "mod 4: x1 + x2 = 1\nmod 6: x1 + x2 = 3\n"
+
+
+@pytest.mark.parametrize("text, methods", [
+    (NOT_COPRIME, {
+        "formula": {"skipped": "moduli 4 and 6 are not coprime"},
+        "snf": {"count": "12", "invariant_factors": ["1"]},
+        "oracle": {"count": "12"},
+    }),
+    (NOT_COPRIME + "gcd(x1, 4) = 1\ngcd(x1, 6) = 1\ngcd(x2, 4) = 2\ngcd(x2, 6) = 2\n", {
+        "formula": {"skipped": "moduli 4 and 6 are not coprime"},
+        "snf": {"skipped": "restrictions present"},
+        "oracle": {"count": "2"},
+    }),
+    ("field GF(3)\nmod t^2: x1 + x2 = 1\nmod t^2 + t: x1 + 2*x2 = 1\n", {
+        "formula": {"skipped": "moduli t^2 and t^2 + t are not coprime"},
+        "oracle": {"count": "9"},
+    }),
+], ids=["integer", "restricted", "polynomial"])
+def test_verify_methods_on_moduli_not_coprime(capsys, tmp_path, text, methods):
+    path = tmp_path / "system.cong"
+    path.write_text(text)
+    assert run_json(capsys, "verify", str(path)) == {
+        "schema": "1", "agreement": True, "methods": methods,
+    }
+
+
 def test_verify_with_tiny_cap_skips_oracle(capsys):
     payload = run_json(
         capsys, "verify", "--cap", "10", sample("int_system_12_35.cong")

@@ -177,6 +177,22 @@ def test_cap_applies_to_the_sum_over_pieces_before_the_table_check():
     assert oracle_count(system, None, cap=13) == 6
 
 
+def test_a_lone_piece_checks_the_table_before_the_scan_limits(capsys, tmp_path):
+    # 2^32 is one piece, within the cap but past the int64 scan's modulus
+    # limit. As with several pieces, the table is checked first.
+    system = CongruenceSystem(((1,),), (2**32,), (0,))
+    with pytest.raises(HypothesisError, match="restriction value 3 does not divide"):
+        oracle_count(system, RestrictionTable(((3,),)), cap=10**10)
+    with pytest.raises(CapExceededError, match="the oracle scans only moduli below"):
+        oracle_count(system, RestrictionTable(((2,),)), cap=10**10)
+    path = tmp_path / "lone.cong"
+    path.write_text("mod 4294967296: x1 = 0\ngcd(x1, 4294967296) = 3\n")
+    for command in ("enumerate", "verify"):
+        assert _run(capsys, command, "--cap", "10000000000", str(path)) == (
+            2, "", "error: restriction value 3 does not divide modulus 4294967296\n",
+        )
+
+
 def test_pieces_only_below_the_cap():
     # |L| past the cap leaves L whole, so it is never factored.
     assert _coprime_pieces(CongruenceSystem.ring, 6, 5) == [6]

@@ -181,6 +181,14 @@ def test_system_document_ring_is_cached():
     assert doc == SystemDocument(None, (LINE,), (), ("x1",))
 
 
+def test_polynomial_system_builds_its_ring_once():
+    system = PolyCongruenceSystem(F5, ((T_PLUS_1,),), (T_PLUS_2,), (T_PLUS_1,))
+    assert system.ring is system.ring
+    assert system.ring.field is F5
+    clone = pickle.loads(pickle.dumps(system))
+    assert clone == system and clone.ring.field == F5
+
+
 def test_count_report_details_default_to_a_new_dict():
     a, b = CountReport(0, False, "t"), CountReport(count=0, solvable=False, theorem="t")
     assert a.details == {} and a.details is not b.details

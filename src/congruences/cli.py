@@ -3,7 +3,8 @@
 Subcommands read a system file in the text format of the dsl module and emit
 one JSON document on stdout (schema "1", keys sorted, counts as decimal
 strings). Exit codes: 0 success/agreement, 1 usage or parse error, 2 theorem
-hypothesis violated or work cap exceeded, 3 verification mismatch.
+hypothesis violated or work cap exceeded (for `verify`: by every method, so
+nothing was compared), 3 verification mismatch.
 
 Each `_cmd_*` handler returns only its payload. `_run` decides the exit code,
 in one place: from the exception a handler raised, else from the payload's
@@ -249,6 +250,9 @@ def _cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
         methods["oracle"] = {"skipped": str(exc)}
 
     counts = {method["count"] for method in methods.values() if "count" in method}
+    if not counts:
+        reasons = "; ".join(f"{name}: {method['skipped']}" for name, method in methods.items())
+        raise HypothesisError(f"no method could count ({reasons})")
     return {"methods": methods, "agreement": len(counts) <= 1}
 
 

@@ -81,9 +81,6 @@ class Diagnostic(Value):
     column: int
     excerpt: str
 
-    def __init__(self, message, line, column, excerpt) -> None:
-        vars(self).update(message=message, line=line, column=column, excerpt=excerpt)
-
     def render(self) -> str:
         caret = " " * (self.column - 1) + "^"
         return f"line {self.line}, column {self.column}: {self.message}\n  {self.excerpt}\n  {caret}"
@@ -103,9 +100,6 @@ class CongruenceLine(Value):
     terms: tuple[tuple[object, str], ...]
     rhs: object
 
-    def __init__(self, modulus, terms, rhs) -> None:
-        vars(self).update(modulus=modulus, terms=terms, rhs=rhs)
-
 
 class RestrictionLine(Value):
     """One parsed restriction; the spans are the indices of its "gcd",
@@ -118,16 +112,6 @@ class RestrictionLine(Value):
     span: int
     variable_span: int
     modulus_span: int
-
-    def __init__(self, variable, modulus, value, span, variable_span, modulus_span) -> None:
-        vars(self).update(
-            variable=variable,
-            modulus=modulus,
-            value=value,
-            span=span,
-            variable_span=variable_span,
-            modulus_span=modulus_span,
-        )
 
     def _key(self) -> tuple:
         return self.variable, self.modulus, self.value
@@ -144,14 +128,6 @@ class SystemDocument(Value):
     congruences: tuple[CongruenceLine, ...]
     restrictions: tuple[RestrictionLine, ...]
     variables: tuple[str, ...]
-
-    def __init__(self, field_order, congruences, restrictions, variables) -> None:
-        vars(self).update(
-            field_order=field_order,
-            congruences=congruences,
-            restrictions=restrictions,
-            variables=variables,
-        )
 
     @cached_property
     def ring(self) -> IntRing | PolyRing:

@@ -24,7 +24,7 @@ from itertools import product
 from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import CapExceededError, ExactnessError, HypothesisError
-from .intarith import _divisor_list, _mobius, _phi, factorize, nary_gcd, nary_lcm
+from .intarith import _divisor_list, _mobius, _phi, factorize, nary_lcm
 from .report import CountReport
 from .value import Value
 
@@ -208,22 +208,15 @@ def _crt(ring: IntRing | PolyRing, residues: Sequence, moduli: Sequence):
 
 
 def lehmer_count(a: Sequence[int], b: int, m: int) -> CountReport:
-    """Count solutions of a single congruence a.x = b mod m in Z_m^n."""
+    """Count solutions of a single congruence a.x = b mod m in Z_m^n: the
+    one-row case of `system_count`, reported with its gcd(a, m)."""
     if m < 2:
         raise ValueError("modulus must be at least 2")
     if not a:
         raise ValueError("at least one coefficient required")
-    n = len(a)
-    reduced = [a_j % m for a_j in a]
-    ell = nary_gcd([*reduced, m])
-    solvable = (b % m) % ell == 0
-    count = ell * m ** (n - 1) if solvable else 0
-    return CountReport(
-        count=count,
-        solvable=solvable,
-        theorem="lehmer",
-        details={"gcd": ell, "modulus": m},
-    )
+    report = system_count(CongruenceSystem((tuple(a),), (m,), (b,)))
+    ell = report.details["row_gcds"][0]
+    return CountReport(report.count, report.solvable, "lehmer", {"gcd": ell, "modulus": m})
 
 
 def system_count(system: CongruenceSystem | PolyCongruenceSystem) -> CountReport:
@@ -387,11 +380,6 @@ class DivisorTable(Value, Sequence):
     columns: tuple[tuple[int, ...], ...]
     products: tuple[int, ...]
 
-    def __init__(self, divisors, rhs_values, columns, products) -> None:
-        vars(self).update(
-            divisors=divisors, rhs_values=rhs_values, columns=columns, products=products
-        )
-
     def __len__(self) -> int:
         return len(self.divisors)
 
@@ -404,12 +392,6 @@ class DivisorTable(Value, Sequence):
             "variable_values": [column[i] for column in self.columns],
             "product": self.products[i],
         }
-
-    def __iter__(self):
-        for d, rhs, product, *values in zip(
-            self.divisors, self.rhs_values, self.products, *self.columns
-        ):
-            yield {"divisor": d, "rhs_value": rhs, "variable_values": values, "product": product}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):

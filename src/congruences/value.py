@@ -9,8 +9,9 @@ class Value:
     """An immutable value that compares, hashes and prints by its fields.
 
     A subclass lists its fields as class annotations, in the order of its
-    constructor's parameters, and its __init__ stores them in vars(self) (a
-    slotted subclass through its slot descriptors). Two values
+    constructor's parameters. The constructor here takes them by position or
+    by keyword, each exactly once, and stores them in vars(self); a subclass
+    that validates its fields, or is slotted, writes its own. Two values
     are equal when they are of the same class and their _key() tuples are
     equal, and the hash is that of _key(); by default _key() holds every
     field, and a subclass may narrow it. Assigning or deleting an attribute
@@ -20,12 +21,22 @@ class Value:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _field_set: frozenset[str] = frozenset()
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         own = tuple(cls.__dict__.get("__annotations__", ()))
         if own:
-            cls._fields = own
+            cls._fields, cls._field_set = own, frozenset(own)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        values = dict(zip(self._fields, args), **kwargs) if args else kwargs
+        # dict() keeps a keyword that repeats a positional field, and zip
+        # drops surplus positionals: either leaves values short.
+        if len(values) != len(args) + len(kwargs) or values.keys() != self._field_set:
+            fields = ", ".join(self._fields)
+            raise TypeError(f"{type(self).__qualname__}() takes {fields}, each once")
+        vars(self).update(values)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

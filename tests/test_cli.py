@@ -354,6 +354,9 @@ def test_verify_polynomial_system(capsys):
 
 
 NOT_COPRIME = "mod 4: x1 + x2 = 1\nmod 6: x1 + x2 = 3\n"
+NOT_COPRIME_RESTRICTED = NOT_COPRIME + (
+    "gcd(x1, 4) = 1\ngcd(x1, 6) = 1\ngcd(x2, 4) = 2\ngcd(x2, 6) = 2\n"
+)
 
 
 @pytest.mark.parametrize("text, methods", [
@@ -362,7 +365,7 @@ NOT_COPRIME = "mod 4: x1 + x2 = 1\nmod 6: x1 + x2 = 3\n"
         "snf": {"count": "12", "invariant_factors": ["1"]},
         "oracle": {"count": "12"},
     }),
-    (NOT_COPRIME + "gcd(x1, 4) = 1\ngcd(x1, 6) = 1\ngcd(x2, 4) = 2\ngcd(x2, 6) = 2\n", {
+    (NOT_COPRIME_RESTRICTED, {
         "formula": {"skipped": "moduli 4 and 6 are not coprime"},
         "snf": {"skipped": "restrictions present"},
         "oracle": {"count": "2"},
@@ -378,6 +381,18 @@ def test_verify_methods_on_moduli_not_coprime(capsys, tmp_path, text, methods):
     assert run_json(capsys, "verify", str(path)) == {
         "schema": "1", "agreement": True, "methods": methods,
     }
+
+
+def test_verify_with_no_method_that_counts_is_a_hypothesis_error(capsys, tmp_path):
+    # Nothing was compared, so there is no agreement to report.
+    path = tmp_path / "system.cong"
+    path.write_text(NOT_COPRIME_RESTRICTED)
+    assert run(capsys, "verify", "--cap", "0", str(path)) == (
+        2,
+        "",
+        "error: no method could count (formula: moduli 4 and 6 are not coprime;"
+        " snf: restrictions present; oracle: scan of 144 tuples exceeds cap 0)\n",
+    )
 
 
 def test_verify_with_tiny_cap_skips_oracle(capsys):

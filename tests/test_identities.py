@@ -28,6 +28,16 @@ restricted count unchanged. What they can catch: a column read against
 another column's restrictions, coefficients or gcds d_ij, and coefficients
 taken before their reduction mod m_i. What they cannot catch: anything
 symmetric in the columns and blind to units, which is most of the formula.
+
+Row invariances: replacing b_i by b_i + c m_i, or row i and b_i by u times
+them for a unit u mod m_i, keeps every row's solutions, so the plain and the
+restricted counts are unchanged. What they can catch: a rhs or coefficient
+read before its reduction mod m_i, and a row gcd, coefficient gcd d_ij or
+divisor-table value that reads more of a row than its gcds with the divisors
+of m_i. What they cannot catch: anything that reads only those gcds, which
+is most of both formulas, nor an error in what both sides share: `_crt`
+(unless it errs only on some residues), factoring and the local Ramanujan
+(eta) values.
 """
 
 import math
@@ -221,3 +231,35 @@ def test_restricted_count_is_invariant_under_column_permutation_and_unit_scaling
         ]
         assert scaled != rows
         assert restricted_system_count(*build(ring, scaled)).count == count
+
+
+def test_counts_are_invariant_under_the_rhs_class_and_row_unit_scaling():
+    rng = random.Random(0x5C4)
+    cases = [(INT, int_rows(rng, rng.randint(2, 3), rng.randint(2, 3))) for _ in range(4)]
+    for case in range(6):
+        field = PrimeField((2, 3, 5)[case % 3])
+        rows = poly_rows(rng, field, rng.randint(2, 3), rng.randint(2, 3))
+        cases.append((PolyRing(field), rows))
+
+    def counts(ring, rows):
+        system, restrictions = build(ring, rows)
+        with pytest.raises(CapExceededError):
+            oracle_count(system)
+        return system_count(system).count, restricted_system_count(system, restrictions).count
+
+    for ring, rows in cases:
+        count = counts(ring, rows)
+        assert min(count) > 0
+        shifted = []
+        scaled = []
+        for a, m_i, b_i, t in rows:
+            if ring is INT:
+                c = rng.choice((-1, 1)) * rng.randrange(1, 10**6)
+            else:
+                c = random_poly(rng, ring.field, rng.randint(0, 3))
+            shifted.append((a, m_i, b_i + c * m_i, t))
+            u = random_unit(rng, ring, m_i)
+            scaled.append((tuple(u * a_j for a_j in a), m_i, u * b_i, t))
+        for changed in (shifted, scaled):
+            assert changed != rows
+            assert counts(ring, changed) == count

@@ -81,6 +81,25 @@ def test_lehmer_vs_brute():
         assert lehmer_count(a, b, m).count == brute
 
 
+def test_lehmer_count_is_the_one_row_system_count():
+    rng = random.Random(36)
+    solvable = set()
+    for _ in range(300):
+        m = rng.randrange(2, 10 ** rng.randint(1, 12) + 1)
+        n = rng.randrange(1, 5)
+        g = rng.choice((1, 2, 6, m))
+        a = tuple(rng.choice((0, rng.randrange(-3 * m, 3 * m) * g)) for _ in range(n))
+        b = rng.randrange(-3 * m, 3 * m) * rng.choice((1, g))
+        lehmer = lehmer_count(a, b, m)
+        system = system_count(CongruenceSystem((a,), (m,), (b,)))
+        assert (lehmer.count, lehmer.solvable) == (system.count, system.solvable)
+        assert lehmer.theorem == "lehmer"
+        assert lehmer.details == {"gcd": system.details["row_gcds"][0], "modulus": m}
+        assert lehmer.details["gcd"] == math.gcd(m, *a)
+        solvable.add(lehmer.solvable)
+    assert solvable == {True, False}
+
+
 def test_system_count_examples():
     system = CongruenceSystem(((2, 2), (5, 7)), (12, 35), (2, 1))
     report = system_count(system)
@@ -194,6 +213,7 @@ def test_single_restricted_exhaustive_small():
 
 def test_single_restricted_random_larger():
     rng = random.Random(36)
+    solvable = set()
     for _ in range(300):
         m = rng.randrange(2, 120)
         t = rng.choice(divisors(m))

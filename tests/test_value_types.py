@@ -1,5 +1,6 @@
 """The package's immutable value types: equality and hashing by field,
-immutability, keyword construction, validation, repr, copy and pickle."""
+immutability, positional and keyword construction with each field given
+exactly once, validation, repr, copy and pickle."""
 
 import copy
 import pickle
@@ -110,6 +111,20 @@ def test_positional_construction_equals_keyword_construction(cls, kwargs, change
     assert cls(*kwargs.values()) == value
     for name, field in kwargs.items():
         assert getattr(value, name) is field
+
+
+@pytest.mark.parametrize("cls, kwargs, change", CASES, ids=IDS)
+def test_each_field_must_be_given_exactly_once(cls, kwargs, change):
+    (first, value), *rest = kwargs.items()
+    values = list(kwargs.values())
+    for args, extra in [
+        ((), dict(rest)),  # a missing field
+        ((), {**kwargs, "extra": None}),  # an unknown keyword
+        ((*values, None), {}),  # one positional too many
+        (values, {first: value}),  # a field by position and by keyword
+    ]:
+        with pytest.raises(TypeError):
+            cls(*args, **extra)
 
 
 def test_values_of_different_classes_are_never_equal():
